@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: reference, solve, trace, study, compare, fit, sample. Global
-flags: --config <json>, --seed <int>, --jobs <int>, --out <dir>, --no-timing.
+flags: --config <json>, --seed <int>, --out <dir>, --no-timing; study also
+takes --jobs <int>.
 Exit code 0 on success, 1 on input errors, 2 on numeric failures.
 """
 
@@ -197,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--no-timing", action="store_true",
                         help="omit wall-time fields from outputs")
@@ -232,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser("study", parents=[common], help="accuracy/time study")
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_study)
 
     p = sub.add_parser("compare", parents=[common],

@@ -145,10 +145,9 @@ def _mixture_covariance(p, mu, comp_cov) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReturnSample:
-    """An n x d matrix of asset returns, optionally tagged with its generator seed."""
+    """An n x d matrix of asset returns."""
 
     data: np.ndarray
-    seed_provenance: dict | None = None
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.data, dtype=float))
@@ -197,7 +196,7 @@ def sample_tmix(model: StudentTMixture, n: int, seed: int) -> ReturnSample:
             continue
         scale = np.sqrt(model.dof[k] / chi[idx])[:, None]
         x[idx] = model.locations[k] + (z[idx] @ model._chol[k].T) * scale
-    return ReturnSample(x, seed_provenance={"seed": int(seed), "model": "tmix"})
+    return ReturnSample(x)
 
 
 def sample_gmix(model: GaussianMixture, n: int, seed: int) -> ReturnSample:
@@ -213,7 +212,7 @@ def sample_gmix(model: GaussianMixture, n: int, seed: int) -> ReturnSample:
         if not idx.any():
             continue
         x[idx] = model.means[k] + z[idx] @ model._chol[k].T
-    return ReturnSample(x, seed_provenance={"seed": int(seed), "model": "gmix"})
+    return ReturnSample(x)
 
 
 def sample_model(model, n: int, seed: int) -> ReturnSample:

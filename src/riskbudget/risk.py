@@ -11,7 +11,7 @@ power form for deviation measures.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -32,38 +32,115 @@ class RiskPositivityWarning(UserWarning):
 
 # ---------------------------------------------------------------------------
 # measure specifications
+#
+# Every per-measure decision lives on the spec class: its label, its JSON
+# kind (the fields are the dataclass fields), the exponent `power` of the
+# homogenization g(x) = x**power in the solver objective, its initial
+# thresholds on a loss vector, and its full-sample risk and objective risk.
+# ES is the Rockafellar-Uryasev form beta * ES_alpha + delta * E with
+# beta = 1, delta = 0; plain deviation and volatility are the hinge-power form
+# with delta = 0, volatility with a = b = 1, p = 2.
 
-@dataclass(frozen=True)
-class Volatility:
-    """Standard deviation of portfolio losses."""
+class _Measure:
+    kind = ""                  # the "measure" field of the JSON form
+    _json_defaults = {}        # measure_from_dict values for absent fields
+    _probe_positivity = False  # can be non-positive on long-only portfolios
+    power = 1.0
 
-    @property
-    def power(self) -> float:
-        # exponent of the homogenization g(x) = x**power in the solver objective
-        return 2.0
+    def objective_risk(self, x: np.ndarray) -> float:
+        """Risk part of the full-sample descent objective: g(rho) + mean terms."""
+        return self.risk(x)
 
 
-@dataclass(frozen=True)
-class ExpectedShortfall:
-    """Tail-average loss beyond the alpha-quantile."""
+class _RUMeasure(_Measure):
+    """beta * ES_alpha + delta * E through the Rockafellar-Uryasev form."""
 
-    alpha: float
+    _probe_positivity = True
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise SpecError("alpha must lie in (0, 1)")
 
+    def init_zeta(self, losses) -> np.ndarray:
+        return np.array([empirical_var_method7(losses, self.alpha)])
+
+    def risk(self, x: np.ndarray) -> float:
+        val = self.beta * empirical_es(x, self.alpha)
+        if self.delta != 0.0:
+            val += self.delta * float(x.mean())
+        return val
+
+
+class _HingeMeasure(_Measure):
+    """min_z E[(a (L-z)_+ + b (L-z)_-)^p]^(1/p) + delta * E[L]."""
+
+    delta = 0.0
+
+    def __post_init__(self):
+        if self.a <= 0.0 or self.b <= 0.0:
+            raise SpecError("hinge slopes a, b must be positive")
+        if self.p < 1.0:
+            raise SpecError("power p must be at least 1")
+
     @property
     def power(self) -> float:
-        return 1.0
+        return self.p
+
+    def init_zeta(self, losses) -> np.ndarray:
+        return np.array([dev_inner_zeta(self, losses)])
+
+    def _hinge_mean(self, x: np.ndarray) -> float:
+        z = dev_inner_zeta(self, x)
+        return float(_hinge_power(x, z, self.a, self.b, self.p).mean())
+
+    def risk(self, x: np.ndarray) -> float:
+        return self._hinge_mean(x) ** (1.0 / self.p) + self.delta * float(x.mean())
+
+    def objective_risk(self, x: np.ndarray) -> float:
+        return self._hinge_mean(x) + self.delta * float(x.mean())
 
 
 @dataclass(frozen=True)
-class ESMeanMixture:
+class Volatility(_HingeMeasure):
+    """Standard deviation of portfolio losses."""
+
+    kind = "volatility"
+    a = b = 1.0
+    p = 2.0
+
+    def label(self) -> str:
+        return "volatility"
+
+    def risk(self, x: np.ndarray) -> float:
+        return float(x.std())
+
+    def objective_risk(self, x: np.ndarray) -> float:
+        return float(x.var())
+
+
+@dataclass(frozen=True)
+class ExpectedShortfall(_RUMeasure):
+    """Tail-average loss beyond the alpha-quantile."""
+
+    kind = "es"
+    beta = 1.0
+    delta = 0.0
+
+    alpha: float
+
+    def label(self) -> str:
+        return f"es({self.alpha:g})"
+
+
+@dataclass(frozen=True)
+class ESMeanMixture(_RUMeasure):
     """beta * ES_alpha + delta * E applied to losses.
 
     Covers expected shortfall minus expectation via beta=1, delta=-1.
     """
+
+    kind = "es_mean"
+    _json_defaults = {"beta": 1.0, "delta": 0.0}
 
     beta: float
     delta: float
@@ -72,21 +149,22 @@ class ESMeanMixture:
     def __post_init__(self):
         if self.beta <= 0.0:
             raise SpecError("beta must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise SpecError("alpha must lie in (0, 1)")
+        super().__post_init__()
 
-    @property
-    def power(self) -> float:
-        return 1.0
+    def label(self) -> str:
+        return f"es_mean({self.beta:g}*es({self.alpha:g})+{self.delta:g}*mean)"
 
 
 @dataclass(frozen=True)
-class Spectral:
+class Spectral(_Measure):
     """Power-distortion spectral measure with h(s) = s**(1/c - 1) / c.
 
     Discretized on `nodes` levels; with subtract_mean the expected loss is
     factored out, leaving a translation-invariant measure.
     """
+
+    kind = "spectral"
+    _probe_positivity = True
 
     c: float
     nodes: int = 20
@@ -99,37 +177,49 @@ class Spectral:
         if self.nodes < 1:
             raise SpecError("need at least one discretization node")
 
-    @property
-    def power(self) -> float:
-        return 1.0
+    def label(self) -> str:
+        suffix = "-mean" if self.subtract_mean else ""
+        return f"spectral(c={self.c:g},K={self.nodes}){suffix}"
+
+    def init_zeta(self, losses) -> np.ndarray:
+        return np.array([empirical_var_method7(losses, s) for s in spectral_grid(self).levels])
+
+    def risk(self, x: np.ndarray) -> float:
+        grid = spectral_grid(self)
+        s, tails = _sorted_with_tails(x)
+        nodes = [_ru_node_minimum(s, tails, lv) for lv in grid.levels]
+        val = float(np.dot(grid.coeff, nodes))
+        return val - float(x.mean()) if self.subtract_mean else val
 
 
 @dataclass(frozen=True)
-class Deviation:
+class Deviation(_HingeMeasure):
     """Generalized deviation measure min_z E[(a (Z-z)_+ + b (Z-z)_-)^p]^(1/p).
 
     a=b=1, p=2 is the standard deviation; a=b=1, p=1 the MAD; p=2 with
     a=sqrt(alpha), b=sqrt(1-alpha) the square root of the variantile.
     """
 
+    kind = "deviation"
+
     a: float
     b: float
     p: float
 
-    def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise SpecError("hinge slopes a, b must be positive")
-        if self.p < 1.0:
-            raise SpecError("power p must be at least 1")
-
-    @property
-    def power(self) -> float:
-        return self.p
+    def label(self) -> str:
+        return f"deviation(a={self.a:g},b={self.b:g},p={self.p:g})"
 
 
 @dataclass(frozen=True)
-class DeviationPlusMean:
-    """Deviation measure plus delta times the expected loss (e.g. MAD + E)."""
+class DeviationPlusMean(_HingeMeasure):
+    """Deviation measure plus delta times the expected loss (e.g. MAD + E).
+
+    Only p = 1 is accepted: for p > 1 the solver objective mixes degree-p and
+    degree-1 terms, and its minimizer misses the budgets.
+    """
+
+    kind = "deviation_mean"
+    _json_defaults = {"delta": 1.0}
 
     a: float
     b: float
@@ -137,56 +227,27 @@ class DeviationPlusMean:
     delta: float
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise SpecError("hinge slopes a, b must be positive")
-        if self.p < 1.0:
-            raise SpecError("power p must be at least 1")
+        super().__post_init__()
+        if self.p != 1.0:
+            raise SpecError("deviation plus expected loss needs p = 1")
 
-    @property
-    def power(self) -> float:
-        return self.p
+    def label(self) -> str:
+        return f"deviation_mean(a={self.a:g},b={self.b:g},p={self.p:g},d={self.delta:g})"
 
 
 RiskMeasureSpec = Union[Volatility, ExpectedShortfall, ESMeanMixture,
                         Spectral, Deviation, DeviationPlusMean]
 
-ES_FAMILY = (ExpectedShortfall, ESMeanMixture, Spectral)
+_KINDS = {cls.kind: cls for cls in (Volatility, ExpectedShortfall, ESMeanMixture,
+                                    Spectral, Deviation, DeviationPlusMean)}
 
 
 def measure_label(spec: RiskMeasureSpec) -> str:
-    if isinstance(spec, Volatility):
-        return "volatility"
-    if isinstance(spec, ExpectedShortfall):
-        return f"es({spec.alpha:g})"
-    if isinstance(spec, ESMeanMixture):
-        return f"es_mean({spec.beta:g}*es({spec.alpha:g})+{spec.delta:g}*mean)"
-    if isinstance(spec, Spectral):
-        suffix = "-mean" if spec.subtract_mean else ""
-        return f"spectral(c={spec.c:g},K={spec.nodes}){suffix}"
-    if isinstance(spec, Deviation):
-        return f"deviation(a={spec.a:g},b={spec.b:g},p={spec.p:g})"
-    if isinstance(spec, DeviationPlusMean):
-        return f"deviation_mean(a={spec.a:g},b={spec.b:g},p={spec.p:g},d={spec.delta:g})"
-    raise SpecError(f"unknown measure {type(spec).__name__}")
+    return spec.label()
 
 
 def measure_to_dict(spec: RiskMeasureSpec) -> dict:
-    if isinstance(spec, Volatility):
-        return {"measure": "volatility"}
-    if isinstance(spec, ExpectedShortfall):
-        return {"measure": "es", "alpha": spec.alpha}
-    if isinstance(spec, ESMeanMixture):
-        return {"measure": "es_mean", "alpha": spec.alpha, "beta": spec.beta,
-                "delta": spec.delta}
-    if isinstance(spec, Spectral):
-        return {"measure": "spectral", "c": spec.c, "nodes": spec.nodes,
-                "subtract_mean": spec.subtract_mean}
-    if isinstance(spec, Deviation):
-        return {"measure": "deviation", "a": spec.a, "b": spec.b, "p": spec.p}
-    if isinstance(spec, DeviationPlusMean):
-        return {"measure": "deviation_mean", "a": spec.a, "b": spec.b,
-                "p": spec.p, "delta": spec.delta}
-    raise SpecError(f"unknown measure {type(spec).__name__}")
+    return {"measure": spec.kind, **asdict(spec)}
 
 
 def measure_from_dict(doc: dict) -> RiskMeasureSpec:
@@ -194,25 +255,14 @@ def measure_from_dict(doc: dict) -> RiskMeasureSpec:
         kind = doc["measure"]
     except (KeyError, TypeError) as exc:
         raise SpecError("measure document needs a 'measure' field") from exc
-    try:
-        if kind == "volatility":
-            return Volatility()
-        if kind == "es":
-            return ExpectedShortfall(alpha=doc["alpha"])
-        if kind == "es_mean":
-            return ESMeanMixture(beta=doc.get("beta", 1.0),
-                                 delta=doc.get("delta", 0.0), alpha=doc["alpha"])
-        if kind == "spectral":
-            return Spectral(c=doc["c"], nodes=doc.get("nodes", 20),
-                            subtract_mean=doc.get("subtract_mean", False))
-        if kind == "deviation":
-            return Deviation(a=doc["a"], b=doc["b"], p=doc["p"])
-        if kind == "deviation_mean":
-            return DeviationPlusMean(a=doc["a"], b=doc["b"], p=doc["p"],
-                                     delta=doc.get("delta", 1.0))
-    except KeyError as exc:
-        raise SpecError(f"measure {kind!r} missing parameter {exc}") from exc
-    raise SpecError(f"unknown measure kind {kind!r}")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SpecError(f"unknown measure kind {kind!r}")
+    known = {**cls._json_defaults, **doc}
+    for f in fields(cls):
+        if f.name not in known and f.default is MISSING:
+            raise SpecError(f"measure {kind!r} missing parameter {f.name!r}")
+    return cls(**{f.name: known[f.name] for f in fields(cls) if f.name in known})
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +361,7 @@ def empirical_es(losses, alpha: float) -> float:
 def _losses(y, batch) -> np.ndarray:
     if isinstance(batch, np.ndarray):
         x = batch
-    elif hasattr(batch, "data") and not isinstance(batch.data, memoryview):
+    elif hasattr(batch, "data"):
         x = batch.data
     else:
         x = np.asarray(batch, dtype=float)
@@ -348,21 +398,13 @@ class ZetaState:
 # ---------------------------------------------------------------------------
 # Rockafellar-Uryasev objective for the ES family
 
-def _ru_params(spec) -> tuple[float, float, float]:
-    if isinstance(spec, ExpectedShortfall):
-        return spec.alpha, 1.0, 0.0
-    if isinstance(spec, ESMeanMixture):
-        return spec.alpha, spec.beta, spec.delta
-    raise SpecError(f"{type(spec).__name__} is not an ES-family measure")
-
-
 def ru_objective(spec, budgets: Budgets, y, zeta, batch) -> float:
     """Batch value of the joint objective for beta*ES_alpha + delta*E.
 
     mean over the batch of beta*(zeta + (loss - zeta)_+ / (1 - alpha))
     + delta * loss, minus the log-barrier sum_i b_i log y_i.
     """
-    alpha, beta, delta = _ru_params(spec)
+    alpha, beta, delta = spec.alpha, spec.beta, spec.delta
     z = float(_zeta_values(zeta)[0])
     losses, _ = _losses(y, batch)
     ru = z + np.maximum(losses - z, 0.0).mean() / (1.0 - alpha)
@@ -374,7 +416,7 @@ def ru_objective(spec, budgets: Budgets, y, zeta, batch) -> float:
 
 def ru_subgradient(spec, budgets: Budgets, y, zeta, batch):
     """Subgradient of ru_objective at (y, zeta); ties resolved by strict >."""
-    alpha, beta, delta = _ru_params(spec)
+    alpha, beta, delta = spec.alpha, spec.beta, spec.delta
     yv = _values_of(y)
     z = float(_zeta_values(zeta)[0])
     losses, x = _losses(y, batch)
@@ -480,14 +522,6 @@ def spectral_subgradient(spec: Spectral, grid: SpectralGrid, budgets: Budgets,
 # ---------------------------------------------------------------------------
 # deviation measures: asymmetric hinge powers
 
-def _dev_params(spec) -> tuple[float, float, float, float]:
-    if isinstance(spec, Deviation):
-        return spec.a, spec.b, spec.p, 0.0
-    if isinstance(spec, DeviationPlusMean):
-        return spec.a, spec.b, spec.p, spec.delta
-    raise SpecError(f"{type(spec).__name__} is not a deviation measure")
-
-
 def _hinge_power(losses, z, a, b, p) -> np.ndarray:
     # psi(z)^p expanded as a^p z_+^p + b^p z_-^p; avoids fractional powers of
     # negative arguments
@@ -498,7 +532,7 @@ def _hinge_power(losses, z, a, b, p) -> np.ndarray:
 
 def deviation_objective(spec, budgets: Budgets, y, zeta, batch) -> float:
     """mean(psi_{a,b}(loss - zeta)^p) [+ delta * mean loss] minus the barrier."""
-    a, b, p, delta = _dev_params(spec)
+    a, b, p, delta = spec.a, spec.b, spec.p, spec.delta
     z = float(_zeta_values(zeta)[0])
     losses, _ = _losses(y, batch)
     val = _hinge_power(losses, z, a, b, p).mean() + _barrier(budgets, y)
@@ -509,7 +543,7 @@ def deviation_objective(spec, budgets: Budgets, y, zeta, batch) -> float:
 
 def deviation_subgradient(spec, budgets: Budgets, y, zeta, batch):
     """Subgradient of deviation_objective; p = 1 uses strict-inequality hinges."""
-    a, b, p, delta = _dev_params(spec)
+    a, b, p, delta = spec.a, spec.b, spec.p, spec.delta
     yv = _values_of(y)
     z = float(_zeta_values(zeta)[0])
     losses, x = _losses(y, batch)
@@ -596,7 +630,7 @@ def _sorted_with_tails(losses: np.ndarray):
 
 def dev_inner_zeta(spec, losses) -> float:
     """Exact or golden-section minimizer of the deviation hinge on a sample."""
-    a, b, p, _ = _dev_params(spec)
+    a, b, p = spec.a, spec.b, spec.p
     x = np.asarray(losses, dtype=float)
     if p == 2.0 and a == b:
         return float(x.mean())
@@ -610,25 +644,7 @@ def dev_inner_zeta(spec, losses) -> float:
 
 def empirical_risk(spec: RiskMeasureSpec, losses) -> float:
     """Value of the risk measure itself on an empirical loss sample."""
-    x = np.asarray(losses, dtype=float).ravel()
-    if isinstance(spec, Volatility):
-        return float(x.std())
-    if isinstance(spec, ExpectedShortfall):
-        return empirical_es(x, spec.alpha)
-    if isinstance(spec, ESMeanMixture):
-        return spec.beta * empirical_es(x, spec.alpha) + spec.delta * float(x.mean())
-    if isinstance(spec, Spectral):
-        grid = spectral_grid(spec)
-        s, tails = _sorted_with_tails(x)
-        nodes = [_ru_node_minimum(s, tails, lv) for lv in grid.levels]
-        val = float(np.dot(grid.coeff, nodes))
-        return val - float(x.mean()) if spec.subtract_mean else val
-    if isinstance(spec, (Deviation, DeviationPlusMean)):
-        a, b, p, delta = _dev_params(spec)
-        z = dev_inner_zeta(spec, x)
-        val = float(_hinge_power(x, z, a, b, p).mean()) ** (1.0 / p)
-        return val + delta * float(x.mean())
-    raise SpecError(f"unknown measure {type(spec).__name__}")
+    return spec.risk(np.asarray(losses, dtype=float).ravel())
 
 
 def empirical_objective_risk(spec: RiskMeasureSpec, losses) -> float:
@@ -639,18 +655,7 @@ def empirical_objective_risk(spec: RiskMeasureSpec, losses) -> float:
     Rockafellar-Uryasev minima, and deviation measures use the exact inner
     threshold minimization of the hinge power.
     """
-    x = np.asarray(losses, dtype=float).ravel()
-    if isinstance(spec, Volatility):
-        return float(x.var())
-    if isinstance(spec, (ExpectedShortfall, ESMeanMixture)):
-        return empirical_risk(spec, x)
-    if isinstance(spec, Spectral):
-        return empirical_risk(spec, x)
-    if isinstance(spec, (Deviation, DeviationPlusMean)):
-        a, b, p, delta = _dev_params(spec)
-        z = dev_inner_zeta(spec, x)
-        return float(_hinge_power(x, z, a, b, p).mean()) + delta * float(x.mean())
-    raise SpecError(f"unknown measure {type(spec).__name__}")
+    return spec.objective_risk(np.asarray(losses, dtype=float).ravel())
 
 
 def warn_if_nonpositive_risk(spec: RiskMeasureSpec, risk_at, d: int) -> None:
@@ -659,7 +664,7 @@ def warn_if_nonpositive_risk(spec: RiskMeasureSpec, risk_at, d: int) -> None:
     The risk budgeting problem assumes every long-only portfolio has positive
     risk; ES-family measures can violate this when alpha is too low.
     """
-    if not isinstance(spec, ES_FAMILY):
+    if not spec._probe_positivity:
         return
     probes = [np.full(d, 1.0 / d)]
     for i in range(d):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -24,13 +25,12 @@ from .core import (Budgets, DivergenceError, InputError, NumericError,
                    l1_accuracy, normalize)
 from .models import (GaussianMixture, ReturnSample, StudentTMixture,
                      derive_seed, sample_model)
-from .risk import (Deviation, ESMeanMixture,
-                   ExpectedShortfall, RiskMeasureSpec, Spectral, SpecError,
-                   Volatility, ZetaState, dev_inner_zeta, deviation_objective,
+from .risk import (ESMeanMixture, ExpectedShortfall, RiskMeasureSpec, Spectral,
+                   SpecError, Volatility, ZetaState, deviation_objective,
                    deviation_subgradient, empirical_objective_risk,
-                   empirical_risk, empirical_var_method7, es_tmix,
-                   measure_label, ru_objective, ru_subgradient, spectral_grid,
-                   spectral_objective, spectral_subgradient, var_tmix,
+                   empirical_risk, es_tmix, measure_label, ru_objective,
+                   ru_subgradient, spectral_grid, spectral_objective,
+                   spectral_subgradient, var_tmix,
                    volatility_value_and_gradient, warn_if_nonpositive_risk)
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -151,50 +151,22 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# objective adapters: one stochastic form per measure family
+# the mini-batch step pair of each threshold form
 
-class _StochasticForm:
-    """Bundles the batch objective, subgradient, and threshold init for a spec."""
+def _step_pair(spec: RiskMeasureSpec, budgets: Budgets):
+    """Batch objective and subgradient of spec as functions of (y, zeta, batch).
 
-    def __init__(self, spec: RiskMeasureSpec, budgets: Budgets):
-        self.spec = spec
-        self.budgets = budgets
-        if isinstance(spec, Volatility):
-            # volatility solves the quadratic threshold form (g(x) = x^2)
-            self._dev = Deviation(1.0, 1.0, 2.0)
-        else:
-            self._dev = None
-
-    def init_zeta(self, losses: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        if isinstance(spec, (ExpectedShortfall, ESMeanMixture)):
-            return np.array([empirical_var_method7(losses, spec.alpha)])
-        if isinstance(spec, Spectral):
-            grid = spectral_grid(spec)
-            return np.array([empirical_var_method7(losses, s) for s in grid.levels])
-        dev = self._dev or spec
-        return np.array([dev_inner_zeta(dev, losses)])
-
-    def objective(self, y, zeta, batch) -> float:
-        spec = self.spec
-        if isinstance(spec, (ExpectedShortfall, ESMeanMixture)):
-            return ru_objective(spec, self.budgets, y, zeta, batch)
-        if isinstance(spec, Spectral):
-            return spectral_objective(spec, self._grid(), self.budgets, y, zeta, batch)
-        return deviation_objective(self._dev or spec, self.budgets, y, zeta, batch)
-
-    def subgradient(self, y, zeta, batch):
-        spec = self.spec
-        if isinstance(spec, (ExpectedShortfall, ESMeanMixture)):
-            return ru_subgradient(spec, self.budgets, y, zeta, batch)
-        if isinstance(spec, Spectral):
-            return spectral_subgradient(spec, self._grid(), self.budgets, y, zeta, batch)
-        return deviation_subgradient(self._dev or spec, self.budgets, y, zeta, batch)
-
-    def _grid(self):
-        if not hasattr(self, "_grid_cache"):
-            self._grid_cache = spectral_grid(self.spec)
-        return self._grid_cache
+    The step functions are looked up in this module when a solve starts, so
+    a wrapper installed on the module name sees every call.
+    """
+    if isinstance(spec, (ExpectedShortfall, ESMeanMixture)):
+        return partial(ru_objective, spec, budgets), partial(ru_subgradient, spec, budgets)
+    if isinstance(spec, Spectral):
+        grid = spectral_grid(spec)
+        return (partial(spectral_objective, spec, grid, budgets),
+                partial(spectral_subgradient, spec, grid, budgets))
+    return (partial(deviation_objective, spec, budgets),
+            partial(deviation_subgradient, spec, budgets))
 
 
 def _standardization_constant(spec: RiskMeasureSpec, losses: np.ndarray) -> float:
@@ -215,15 +187,18 @@ def _empirical_report(spec, budgets, theta: Weights, data: np.ndarray,
     def risk_fn(t):
         return empirical_risk(spec, -(data @ t))
 
-    def grad_fn(t):
-        g = np.empty(t.size)
-        for i in range(t.size):
-            e = np.zeros(t.size)
-            e[i] = fd_step
-            g[i] = (risk_fn(t + e) - risk_fn(t - e)) / (2.0 * fd_step)
-        return g
+    return euler_audit(theta, risk_fn,
+                       lambda t: _central_gradient(risk_fn, t, fd_step), budgets)
 
-    return euler_audit(theta, risk_fn, grad_fn, budgets)
+
+def _central_gradient(fn, y: np.ndarray, h: float) -> np.ndarray:
+    """Central differences (fn(y + h e_i) - fn(y - h e_i)) / (2h)."""
+    g = np.empty(y.size)
+    for i in range(y.size):
+        e = np.zeros(y.size)
+        e[i] = h
+        g[i] = (fn(y + e) - fn(y - e)) / (2.0 * h)
+    return g
 
 
 def _check_problem(budgets: Budgets, d: int) -> None:
@@ -262,7 +237,7 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
         raise InputError(f"sample of {n} rows is smaller than one batch ({config.batch_size})")
 
     warn_if_nonpositive_risk(spec, lambda w: empirical_risk(spec, -(x @ w)), d)
-    form = _StochasticForm(spec, budgets)
+    objective, subgradient = _step_pair(spec, budgets)
     scale = _standardization_constant(spec, -(x @ normalize(budgets.values).values))
     xs = x / scale
 
@@ -278,15 +253,15 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
 
     order = rng.permutation(n)
     first = xs[order[:config.batch_size]]
-    zeta = form.init_zeta(-(first @ y))
-    obj0 = form.objective(y, zeta, first)
+    zeta = spec.init_zeta(-(first @ y))
+    obj0 = objective(y, zeta, first)
     if not np.isfinite(obj0):
         raise NumericError("non-finite objective at the starting point")
     if config.step_schedule.base > 0.0:
         base = config.step_schedule.base
     else:
         base = 1.0 / (d * max(abs(obj0), 1e-12))
-    g_y0, g_z0 = form.subgradient(y, zeta, first)
+    g_y0, g_z0 = subgradient(y, zeta, first)
     cap = config.grad_clip * (1.0 + float(np.sqrt(g_y0 @ g_y0 + g_z0 @ g_z0)))
 
     trace = np.empty((total + 1, 2))
@@ -306,12 +281,12 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
             order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = xs[order[start:start + config.batch_size]]
-            value = form.objective(y, zeta, batch)
+            value = objective(y, zeta, batch)
             if not np.isfinite(value) or abs(value) > DIVERGENCE_THRESHOLD:
                 raise DivergenceError(
                     f"objective {value!r} diverged at iteration {k}", iteration=k)
             trace[k] = (k, value)
-            g_y, g_z = form.subgradient(y, zeta, batch)
+            g_y, g_z = subgradient(y, zeta, batch)
             norm = float(np.sqrt(g_y @ g_y + g_z @ g_z))
             if config.grad_clip > 0.0 and norm > cap:
                 g_y = g_y * (cap / norm)
@@ -332,7 +307,7 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
                 n_avg += 1
             if iterates is not None:
                 iterates[k] = [float(k), *y, *zeta, *(y / y.sum())]
-    final_value = form.objective(y, zeta, batch)
+    final_value = objective(y, zeta, batch)
     if not np.isfinite(final_value):
         raise DivergenceError(f"non-finite objective at iteration {k}", iteration=k)
     trace[k] = (k, final_value)
@@ -415,16 +390,6 @@ def _bb_descent(risk_part, budgets: Budgets, y: np.ndarray, config: SolverConfig
     return y, np.array(trace, dtype=float), iterations, tail
 
 
-def _final_zeta(spec, losses: np.ndarray) -> np.ndarray:
-    if isinstance(spec, (ExpectedShortfall, ESMeanMixture)):
-        return np.array([empirical_var_method7(losses, spec.alpha)])
-    if isinstance(spec, Spectral):
-        grid = spectral_grid(spec)
-        return np.array([empirical_var_method7(losses, s) for s in grid.levels])
-    dev = Deviation(1.0, 1.0, 2.0) if isinstance(spec, Volatility) else spec
-    return np.array([dev_inner_zeta(dev, losses)])
-
-
 def osbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
                 config: SolverConfig, y0=None) -> SolveReport:
     """One-sample benchmark descent: BB steps on the fixed-sample objective.
@@ -451,7 +416,7 @@ def osbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     wall = time.perf_counter() - t0
     raw = RawAllocation(y_fin / scale)
     weights = normalize(raw)
-    zeta = _final_zeta(spec, -(xs @ y_fin))
+    zeta = spec.init_zeta(-(xs @ y_fin))
     report = _empirical_report(spec, budgets, weights, x, config.fd_step)
     return SolveReport(weights, raw, ZetaState(zeta), report, trace, wall,
                        iters, config.seed, "osbgd")
@@ -492,7 +457,7 @@ def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     weights = normalize(raw)
     audit_data = sample_model(model, config.resample_size,
                               derive_seed(config.seed, "msbgd", "audit")).data
-    zeta = _final_zeta(spec, -((audit_data / scale) @ y_avg))
+    zeta = spec.init_zeta(-((audit_data / scale) @ y_avg))
     report = _empirical_report(spec, budgets, weights, audit_data, config.fd_step)
     return SolveReport(weights, raw, ZetaState(zeta), report, trace, wall,
                        iters, config.seed, "msbgd")
@@ -514,26 +479,21 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     d = model.dim
     _check_problem(budgets, d)
     b = budgets.values
-    h = config.fd_step
 
     if isinstance(spec, ExpectedShortfall):
         if not isinstance(model, StudentTMixture):
             raise SpecError("exact expected shortfall needs a Student-t mixture model")
-        alpha = spec.alpha
 
         def risk_fn(y):
-            return es_tmix(model, y, alpha)
+            return es_tmix(model, y, spec.alpha)
 
         def risk_grad(y):
-            g = np.empty(d)
-            for i in range(d):
-                e = np.zeros(d)
-                e[i] = h
-                g[i] = (risk_fn(y + e) - risk_fn(y - e)) / (2.0 * h)
-            return g
+            return _central_gradient(risk_fn, y, config.fd_step)
+
+        def final_zeta(theta):
+            return var_tmix(model, theta, spec.alpha)
 
         warn_if_nonpositive_risk(spec, risk_fn, d)
-        power = 1.0
     elif isinstance(spec, Volatility):
         sigma = model.covariance()
 
@@ -543,10 +503,12 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
         def risk_grad(y):
             return volatility_value_and_gradient(sigma, y)[1]
 
-        power = 2.0
+        def final_zeta(theta):
+            return float(-(model.mean() @ theta))
     else:
         raise SpecError(
             f"{measure_label(spec)} has no exact evaluator; use a sample-based solver")
+    power = spec.power
 
     def objective(y):
         r = risk_fn(y)
@@ -579,11 +541,7 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     weights = normalize(raw)
     theta = weights.values
     audit = euler_audit(theta, risk_fn, risk_grad, budgets)
-    if isinstance(spec, ExpectedShortfall):
-        losses_zeta = np.array([var_tmix(model, theta, spec.alpha)])
-    else:
-        losses_zeta = np.array([float(-(model.mean() @ theta))])
-    return SolveReport(weights, raw, ZetaState(losses_zeta), audit,
+    return SolveReport(weights, raw, ZetaState(final_zeta(theta)), audit,
                        np.array(trace, dtype=float), wall, int(res.nit),
                        config.seed, "reference")
 

@@ -40,6 +40,11 @@ class TestMeasureSpecs:
             Deviation(a=1.0, b=1.0, p=0.5)
         with pytest.raises(SpecError):
             Deviation(a=0.0, b=1.0, p=2.0)
+        # deviation plus expected loss is homogeneous of one degree only at p=1
+        with pytest.raises(SpecError):
+            DeviationPlusMean(a=1.0, b=1.0, p=2.0, delta=1.0)
+        with pytest.raises(SpecError):
+            rb.measure_from_dict({"measure": "deviation_mean", "a": 1, "b": 1, "p": 2})
 
     def test_homogenization_power(self):
         assert Volatility().power == 2.0

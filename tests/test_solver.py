@@ -205,10 +205,33 @@ class TestReferenceSolve:
     def test_needs_exact_evaluator(self, tmix_demo):
         with pytest.raises(rb.SpecError):
             reference_solve(rb.Deviation(1.0, 1.0, 2.0), Budgets.equal(4), tmix_demo)
+        # ES-mean with beta=1, delta=0 shares the ES threshold form, not its evaluator
+        with pytest.raises(rb.SpecError):
+            reference_solve(rb.ESMeanMixture(1.0, 0.0, 0.95), Budgets.equal(4), tmix_demo)
+        with pytest.raises(rb.SpecError):
+            reference_solve(rb.Spectral(0.1), Budgets.equal(4), tmix_demo)
 
     def test_es_needs_tmix(self, gmix_calm):
         with pytest.raises(rb.SpecError):
             reference_solve(ExpectedShortfall(0.95), Budgets.equal(3), gmix_calm)
+
+
+EULER_AUDIT_SPECS = [
+    Volatility(), ExpectedShortfall(0.9), rb.ESMeanMixture(1.0, -1.0, 0.9),
+    rb.Spectral(0.1, 8), rb.Spectral(0.1, 8, subtract_mean=True),
+    rb.Deviation(1.0, 1.0, 2.0), rb.Deviation(2.0, 1.0, 1.0),
+    rb.Deviation(2.0, 0.5, 1.5), rb.DeviationPlusMean(1.0, 1.0, 1.0, delta=1.0)]
+
+
+@pytest.mark.parametrize("spec", EULER_AUDIT_SPECS, ids=rb.measure_label)
+def test_every_measure_passes_euler_audit(spec, gmix_stressed):
+    # the solved portfolio's Euler contributions must match the budgets for
+    # every measure the spec classes accept
+    sample = rb.sample_model(gmix_stressed, 20_000, seed=5)
+    budgets = Budgets(np.array([0.5, 0.3, 0.2]))
+    report = osbgd_solve(spec, budgets, sample,
+                         SolverConfig(method="osbgd", stop_tol=1e-12))
+    assert np.abs(report.contributions.budget_errors).max() < 1e-3
 
 
 class TestRiskReduction:
