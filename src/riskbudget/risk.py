@@ -36,7 +36,9 @@ class RiskPositivityWarning(UserWarning):
 # Every per-measure decision lives on the spec class: its label, its JSON
 # kind (the fields are the dataclass fields), the exponent `power` of the
 # homogenization g(x) = x**power in the solver objective, its initial
-# thresholds on a loss vector, and its full-sample risk and objective risk.
+# thresholds on a loss vector, its full-sample risk, and its full-sample
+# objective risk together with the gradient of that value with respect to the
+# loss vector.
 # ES is the Rockafellar-Uryasev form beta * ES_alpha + delta * E with
 # beta = 1, delta = 0; plain deviation and volatility are the hinge-power form
 # with delta = 0, volatility with a = b = 1, p = 2.
@@ -46,10 +48,6 @@ class _Measure:
     _json_defaults = {}        # measure_from_dict values for absent fields
     _probe_positivity = False  # can be non-positive on long-only portfolios
     power = 1.0
-
-    def objective_risk(self, x: np.ndarray) -> float:
-        """Risk part of the full-sample descent objective: g(rho) + mean terms."""
-        return self.risk(x)
 
 
 class _RUMeasure(_Measure):
@@ -69,6 +67,17 @@ class _RUMeasure(_Measure):
         if self.delta != 0.0:
             val += self.delta * float(x.mean())
         return val
+
+    def objective_and_weights(self, x: np.ndarray):
+        """The risk and its loss gradient: beta times the tail mask over its
+        count, plus delta / n."""
+        tail = _es_tail(x, self.alpha)
+        val = self.beta * float(x[tail].mean())
+        w = tail * (self.beta / np.count_nonzero(tail))
+        if self.delta != 0.0:
+            val += self.delta * float(x.mean())
+            w += self.delta / x.size
+        return val, w
 
 
 class _HingeMeasure(_Measure):
@@ -96,8 +105,29 @@ class _HingeMeasure(_Measure):
     def risk(self, x: np.ndarray) -> float:
         return self._hinge_mean(x) ** (1.0 / self.p) + self.delta * float(x.mean())
 
-    def objective_risk(self, x: np.ndarray) -> float:
-        return self._hinge_mean(x) + self.delta * float(x.mean())
+    def objective_and_weights(self, x: np.ndarray):
+        """Hinge-power mean (+ delta * mean) and its loss gradient
+        psi^p'(L - z*) / n (+ delta / n) at the exact inner threshold z*.
+
+        For p = 1 the points at z* take the subgradient that makes the
+        weights sum to zero, so that sum(w * x) equals the value exactly.
+        """
+        a, b, p, n = self.a, self.b, self.p, x.size
+        z = dev_inner_zeta(self, x)
+        u = x - z
+        if p == 1.0:
+            slope = a * (u > 0.0) - b * (u < 0.0)
+            at_z = u == 0.0
+            slope[at_z] = -slope.sum() / np.count_nonzero(at_z)
+        else:
+            slope = p * (a ** p * np.maximum(u, 0.0) ** (p - 1.0)
+                         - b ** p * np.maximum(-u, 0.0) ** (p - 1.0))
+        val = float(_hinge_power(x, z, a, b, p).mean())
+        w = slope / n
+        if self.delta != 0.0:
+            val += self.delta * float(x.mean())
+            w += self.delta / n
+        return val, w
 
 
 @dataclass(frozen=True)
@@ -114,8 +144,9 @@ class Volatility(_HingeMeasure):
     def risk(self, x: np.ndarray) -> float:
         return float(x.std())
 
-    def objective_risk(self, x: np.ndarray) -> float:
-        return float(x.var())
+    def objective_and_weights(self, x: np.ndarray):
+        u = x - x.mean()
+        return float(x.var()), (2.0 / x.size) * u
 
 
 @dataclass(frozen=True)
@@ -185,11 +216,35 @@ class Spectral(_Measure):
         return np.array([empirical_var_method7(losses, s) for s in spectral_grid(self).levels])
 
     def risk(self, x: np.ndarray) -> float:
+        return self._value(x, *_sorted_with_tails(x))
+
+    def _value(self, x, s, tail_sums) -> float:
         grid = spectral_grid(self)
-        s, tails = _sorted_with_tails(x)
-        nodes = [_ru_node_minimum(s, tails, lv) for lv in grid.levels]
+        nodes = [_ru_node_minimum(s, tail_sums, lv) for lv in grid.levels]
         val = float(np.dot(grid.coeff, nodes))
         return val - float(x.mean()) if self.subtract_mean else val
+
+    def objective_and_weights(self, x: np.ndarray):
+        """The discretized risk and its loss gradient: per node, c_k / (n (1 - s_k))
+        on the losses above the node's order statistic, and on that order
+        statistic the weight that makes sum(w * x) equal the node value."""
+        n = x.size
+        order = np.argsort(x)
+        s = x[order]
+        rates = np.zeros(n + 1)
+        w_sorted = np.zeros(n)
+        grid = spectral_grid(self)
+        for lv, c in zip(grid.levels, grid.coeff):
+            k = _node_rank(n, lv)
+            rate = c / (n * (1.0 - lv))
+            rates[k] += rate
+            w_sorted[k - 1] += c - (n - k) * rate
+        w_sorted += np.cumsum(rates[:n])
+        w = np.empty(n)
+        w[order] = w_sorted
+        if self.subtract_mean:
+            w -= 1.0 / n
+        return self._value(x, s, _tail_sums(s)), w
 
 
 @dataclass(frozen=True)
@@ -308,6 +363,17 @@ def es_tmix(model: StudentTMixture, y, alpha: float) -> float:
     int_t^inf u f_nu(u) du = (nu + t^2) f_nu(t) / (nu - 1), which needs every
     component dof above 1.
     """
+    return _es_tmix_value_grad(model, y, alpha)[0]
+
+
+def _es_tmix_value_grad(model: StudentTMixture, y, alpha: float):
+    """es_tmix and its gradient in y from one quantile root solve.
+
+    The gradient is the Euler allocation E[-X | L >= VaR] (Tasche): with
+    t_k = (VaR + y'mu_k) / sigma_k and sigma_k = sqrt(y' S_k y),
+    (1/(1-alpha)) sum_k p_k [(nu_k + t_k^2) f(t_k) / (nu_k - 1) S_k y / sigma_k
+    - mu_k Fbar(t_k)]. Its dot product with y is the ES itself.
+    """
     if np.any(model.dof <= 1.0):
         raise NumericError("expected shortfall undefined: some dof <= 1")
     yv = _values_of(y)
@@ -315,9 +381,14 @@ def es_tmix(model: StudentTMixture, y, alpha: float) -> float:
     sig, m = _portfolio_params(model, yv)
     nu = model.dof
     t = (v + m) / sig
-    terms = (sig * (nu + t * t) / (nu - 1.0) * stats.t.pdf(t, nu)
-             - m * stats.t.cdf(-t, nu))
-    return float(np.dot(model.weights, terms) / (1.0 - alpha))
+    f = stats.t.pdf(t, nu)
+    above = stats.t.cdf(-t, nu)                 # P(U > t)
+    upper = (nu + t * t) / (nu - 1.0) * f       # E[U; U > t]
+    terms = sig * (nu + t * t) / (nu - 1.0) * f - m * above
+    value = float(np.dot(model.weights, terms) / (1.0 - alpha))
+    p = model.weights / (1.0 - alpha)
+    grad = (p * upper / sig) @ (model.scales @ yv) - (p * above) @ model.locations
+    return value, grad
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +419,15 @@ def empirical_var_method7(losses, alpha: float) -> float:
 def empirical_es(losses, alpha: float) -> float:
     """Tail mean of losses at or above the method-7 empirical quantile."""
     x = np.asarray(losses, dtype=float).ravel()
-    q = empirical_var_method7(x, alpha)
-    tail = x[x >= q]
-    if tail.size == 0:
+    return float(x[_es_tail(x, alpha)].mean())
+
+
+def _es_tail(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Mask of the losses at or above the method-7 empirical quantile."""
+    tail = x >= empirical_var_method7(x, alpha)
+    if not tail.any():
         raise NumericError("empty tail above the empirical quantile")
-    return float(tail.mean())
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +681,12 @@ def golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (a + b)
 
 
+def _node_rank(n: int, level: float) -> int:
+    """1-based rank ceil(n * level), clipped to [1, n], of a piecewise-linear
+    threshold minimum: the slope of the objective changes sign there."""
+    return min(max(int(np.ceil(n * level)), 1), n)
+
+
 def _ru_node_minimum(sorted_losses: np.ndarray, tail_sums: np.ndarray,
                      level: float) -> float:
     """Exact min over zeta of zeta + mean((L - zeta)_+) / (1 - level).
@@ -615,31 +696,46 @@ def _ru_node_minimum(sorted_losses: np.ndarray, tail_sums: np.ndarray,
     statistic.
     """
     n = sorted_losses.size
-    k = min(max(int(np.ceil(n * level)), 1), n)
+    k = _node_rank(n, level)
     z = sorted_losses[k - 1]
     tail = tail_sums[k] - (n - k) * z
     return float(z + tail / (n * (1.0 - level)))
 
 
+def _tail_sums(s: np.ndarray) -> np.ndarray:
+    cums = np.concatenate(([0.0], np.cumsum(s)))
+    return cums[-1] - cums  # tail_sums[k] = sum of s[k:]
+
+
 def _sorted_with_tails(losses: np.ndarray):
     s = np.sort(losses)
-    cums = np.concatenate(([0.0], np.cumsum(s)))
-    tail_sums = cums[-1] - cums  # tail_sums[k] = sum of s[k:]
-    return s, tail_sums
+    return s, _tail_sums(s)
 
 
 def dev_inner_zeta(spec, losses) -> float:
-    """Exact or golden-section minimizer of the deviation hinge on a sample."""
+    """Exact minimizer over z of the deviation hinge mean E[psi(L - z)^p].
+
+    p = 2 with a = b gives the mean. p = 1 gives the ceil(n a / (a + b))-th
+    order statistic, where the piecewise-linear slope changes sign. Otherwise
+    the objective is smooth and convex, and z is the root of its increasing
+    derivative, which changes sign on [min L, max L].
+    """
     a, b, p = spec.a, spec.b, spec.p
     x = np.asarray(losses, dtype=float)
     if p == 2.0 and a == b:
         return float(x.mean())
-    if p == 1.0 and a == b:
-        return float(np.median(x))
+    if p == 1.0:
+        k = _node_rank(x.size, a / (a + b))
+        return float(np.partition(x, k - 1)[k - 1])
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         return lo
-    return golden_section(lambda z: _hinge_power(x, z, a, b, p).mean(), lo, hi)
+
+    def slope(z):  # derivative in z, divided by p * n
+        return float((b ** p * np.maximum(z - x, 0.0) ** (p - 1.0)).sum()
+                     - (a ** p * np.maximum(x - z, 0.0) ** (p - 1.0)).sum())
+
+    return float(brentq(slope, lo, hi, xtol=1e-300, rtol=8.9e-16))
 
 
 def empirical_risk(spec: RiskMeasureSpec, losses) -> float:
@@ -647,15 +743,20 @@ def empirical_risk(spec: RiskMeasureSpec, losses) -> float:
     return spec.risk(np.asarray(losses, dtype=float).ravel())
 
 
-def empirical_objective_risk(spec: RiskMeasureSpec, losses) -> float:
-    """Risk part of the full-sample descent objective (the homogenized form).
+def empirical_objective_risk(spec: RiskMeasureSpec, losses):
+    """Risk part of the full-sample descent objective (the homogenized form)
+    and its gradient with respect to the loss vector.
 
-    This is g(rho) plus any linear mean term: the ES family uses the
+    The value is g(rho) plus any linear mean term: the ES family uses the
     empirical tail mean directly, spectral uses the per-node exact
     Rockafellar-Uryasev minima, and deviation measures use the exact inner
-    threshold minimization of the hinge power.
+    threshold minimization of the hinge power. The thresholds are exact
+    minimizers, so by the envelope theorem the loss weights w are the partial
+    gradient at those thresholds; the value is positively homogeneous of
+    degree spec.power in the losses, and sum(w * losses) = power * value.
+    Returns (value, w).
     """
-    return spec.objective_risk(np.asarray(losses, dtype=float).ravel())
+    return spec.objective_and_weights(np.asarray(losses, dtype=float).ravel())
 
 
 def warn_if_nonpositive_risk(spec: RiskMeasureSpec, risk_at, d: int) -> None:

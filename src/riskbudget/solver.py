@@ -1,10 +1,16 @@
 """Risk budgeting solvers.
 
 Four routes to the same portfolio: a stochastic subgradient method on the
-joint (allocation, threshold) objective, two finite-difference
-Barzilai-Borwein descents (fixed sample vs freshly simulated samples), and a
-deterministic reference minimization of the exact objective for measures with
-closed-form evaluators.
+joint (allocation, threshold) objective, two Barzilai-Borwein descents
+(fixed sample vs freshly simulated samples), and a deterministic reference
+minimization of the exact objective for measures with closed-form
+evaluators.
+
+Every gradient is exact. The descents and the Euler audits of the sample
+routes take the loss-vector gradient of the full-sample objective at its
+exact inner thresholds (envelope theorem) and map it to the allocation with
+one matrix-vector product; the reference solve uses the closed-form gradient
+of its evaluator.
 
 All sample-based solvers standardize returns so the initial portfolio's risk
 is of order one; the solved allocation is mapped back afterwards. The
@@ -26,11 +32,11 @@ from .core import (Budgets, DivergenceError, InputError, NumericError,
 from .models import (GaussianMixture, ReturnSample, StudentTMixture,
                      derive_seed, sample_model)
 from .risk import (ESMeanMixture, ExpectedShortfall, RiskMeasureSpec, Spectral,
-                   SpecError, Volatility, ZetaState, deviation_objective,
-                   deviation_subgradient, empirical_objective_risk,
-                   empirical_risk, es_tmix, measure_label, ru_objective,
-                   ru_subgradient, spectral_grid, spectral_objective,
-                   spectral_subgradient, var_tmix,
+                   SpecError, Volatility, ZetaState, _es_tmix_value_grad,
+                   deviation_objective, deviation_subgradient,
+                   empirical_objective_risk, empirical_risk, es_tmix,
+                   measure_label, ru_objective, ru_subgradient, spectral_grid,
+                   spectral_objective, spectral_subgradient, var_tmix,
                    volatility_value_and_gradient, warn_if_nonpositive_risk)
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -61,7 +67,6 @@ class SolverConfig:
     step_schedule: StepSchedule = field(default_factory=StepSchedule)
     averaging_fraction: float = 0.2
     last_k: int | None = None
-    fd_step: float = 1e-4
     stop_tol: float = 1e-6
     max_iters: int | None = None
     resample_size: int = 100_000
@@ -72,8 +77,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise InputError("batch_size must be at least 1")
-        if self.fd_step <= 0.0:
-            raise InputError("fd_step must be positive")
         if not 0.0 < self.averaging_fraction <= 1.0:
             raise InputError("averaging_fraction must lie in (0, 1]")
         if self.last_k is not None and self.last_k < 1:
@@ -176,29 +179,38 @@ def _standardization_constant(spec: RiskMeasureSpec, losses: np.ndarray) -> floa
     return abs(c)
 
 
-def _empirical_report(spec, budgets, theta: Weights, data: np.ndarray,
-                      fd_step: float) -> RiskContributionReport:
-    """Euler audit of solved weights against the sample evaluator.
+def _sample_risk(spec: RiskMeasureSpec, xs: np.ndarray):
+    """Full-sample objective risk of an allocation and its exact gradient.
 
-    Central differences on the positively homogeneous empirical risk; the
-    forward-difference step of the descent itself is a separate choice.
+    The loss vector is -(xs @ y), so the y-gradient is -(w @ xs) for the
+    loss weights w: one pass, and no n x d temporary.
     """
 
-    def risk_fn(t):
-        return empirical_risk(spec, -(data @ t))
+    def risk_part(y):
+        value, w = empirical_objective_risk(spec, -(xs @ y))
+        return value, -(w @ xs)
 
-    return euler_audit(theta, risk_fn,
-                       lambda t: _central_gradient(risk_fn, t, fd_step), budgets)
+    return risk_part
 
 
-def _central_gradient(fn, y: np.ndarray, h: float) -> np.ndarray:
-    """Central differences (fn(y + h e_i) - fn(y - h e_i)) / (2h)."""
-    g = np.empty(y.size)
-    for i in range(y.size):
-        e = np.zeros(y.size)
-        e[i] = h
-        g[i] = (fn(y + e) - fn(y - e)) / (2.0 * h)
-    return g
+def _empirical_report(spec, budgets, theta: Weights,
+                      data: np.ndarray) -> RiskContributionReport:
+    """Euler audit of solved weights against the sample evaluator.
+
+    The gradient of the empirical risk R is exact: R is the objective risk
+    value to the power 1 / spec.power for every accepted measure, so its
+    gradient is the objective's scaled by value ** (1 / power - 1) / power.
+    """
+    objective = _sample_risk(spec, data)
+
+    def risk_grad(t):
+        value, grad = objective(t)
+        if spec.power != 1.0:
+            grad = grad * (value ** (1.0 / spec.power - 1.0) / spec.power)
+        return grad
+
+    return euler_audit(theta, lambda t: empirical_risk(spec, -(data @ t)),
+                       risk_grad, budgets)
 
 
 def _check_problem(budgets: Budgets, d: int) -> None:
@@ -317,31 +329,22 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     zeta_avg = zeta_sum / n_avg
     raw = RawAllocation(y_avg / scale)
     weights = normalize(raw)
-    report = _empirical_report(spec, budgets, weights, x, config.fd_step)
+    report = _empirical_report(spec, budgets, weights, x)
     return SolveReport(weights, raw, ZetaState(zeta_avg), report, trace,
                        wall, total, config.seed, "sgd", iterate_trace=iterates)
 
 
 # ---------------------------------------------------------------------------
-# Barzilai-Borwein finite-difference descents
-
-def _fd_gradient(risk_part, y: np.ndarray, h: float, budgets: Budgets,
-                 base_value: float | None = None):
-    """Forward differences of the sample risk term plus the exact barrier."""
-    f0 = risk_part(y) if base_value is None else base_value
-    g = np.empty(y.size)
-    for i in range(y.size):
-        e = np.zeros(y.size)
-        e[i] = h
-        g[i] = (risk_part(y + e) - f0) / h
-    return g - budgets.values / y, f0
-
+# Barzilai-Borwein descents
 
 def _bb_descent(risk_part, budgets: Budgets, y: np.ndarray, config: SolverConfig,
                 max_iters: int, stop_on_objective: bool, fresh_risk=None):
-    """Shared BB loop. fresh_risk(k) swaps in a new sample each iteration."""
-    h = config.fd_step
-    grad = lambda yy, rp, fv=None: _fd_gradient(rp, yy, h, budgets, fv)
+    """Shared BB loop. risk_part(y) gives the risk term and its gradient;
+    fresh_risk(k) swaps in a new sample each iteration."""
+
+    def grad(yy, rp):
+        f_risk, g_risk = rp(yy)
+        return g_risk - budgets.values / yy, f_risk
 
     rp = risk_part if fresh_risk is None else fresh_risk(0)
     g, f_risk = grad(y, rp)
@@ -384,7 +387,8 @@ def _bb_descent(risk_part, budgets: Budgets, y: np.ndarray, config: SolverConfig
         if len(tail) == last_k:
             tail.pop(0)
         tail.append(y.copy())
-        if stop_on_objective and abs(f_new - f_prev) < config.stop_tol:
+        # a rise is not convergence: stop only on a small decrease
+        if stop_on_objective and 0.0 <= f_prev - f_new < config.stop_tol:
             break
         f_prev = f_new
     return y, np.array(trace, dtype=float), iterations, tail
@@ -394,9 +398,10 @@ def osbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
                 config: SolverConfig, y0=None) -> SolveReport:
     """One-sample benchmark descent: BB steps on the fixed-sample objective.
 
-    The gradient of the risk term uses forward differences with fd_step; the
-    run stops once the objective moves by less than stop_tol between
-    consecutive iterations.
+    The gradient of the risk term is exact: the loss-vector gradient at the
+    exact inner thresholds, one full-sample pass per iteration. The run stops
+    once the objective decreases by less than stop_tol between consecutive
+    iterations.
     """
     x = sample.data
     n, d = x.shape
@@ -405,19 +410,15 @@ def osbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     scale = _standardization_constant(spec, -(x @ normalize(budgets.values).values))
     xs = x / scale
     y = _initial_allocation(budgets, y0)
-
-    def risk_part(yy):
-        return empirical_objective_risk(spec, -(xs @ yy))
-
     max_iters = config.max_iters or 1000
     t0 = time.perf_counter()
-    y_fin, trace, iters, _ = _bb_descent(risk_part, budgets, y, config,
+    y_fin, trace, iters, _ = _bb_descent(_sample_risk(spec, xs), budgets, y, config,
                                          max_iters, stop_on_objective=True)
     wall = time.perf_counter() - t0
     raw = RawAllocation(y_fin / scale)
     weights = normalize(raw)
     zeta = spec.init_zeta(-(xs @ y_fin))
-    report = _empirical_report(spec, budgets, weights, x, config.fd_step)
+    report = _empirical_report(spec, budgets, weights, x)
     return SolveReport(weights, raw, ZetaState(zeta), report, trace, wall,
                        iters, config.seed, "osbgd")
 
@@ -443,8 +444,7 @@ def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
                                 derive_seed(config.seed, "msbgd", k)).data
             samples.clear()
             samples[k] = data / scale
-        xs = samples[k]
-        return lambda yy: empirical_objective_risk(spec, -(xs @ yy))
+        return _sample_risk(spec, samples[k])
 
     iters_fixed = config.max_iters or 60
     cfg = config if config.last_k is not None else replace(config, last_k=5)
@@ -458,7 +458,7 @@ def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     audit_data = sample_model(model, config.resample_size,
                               derive_seed(config.seed, "msbgd", "audit")).data
     zeta = spec.init_zeta(-((audit_data / scale) @ y_avg))
-    report = _empirical_report(spec, budgets, weights, audit_data, config.fd_step)
+    report = _empirical_report(spec, budgets, weights, audit_data)
     return SolveReport(weights, raw, ZetaState(zeta), report, trace, wall,
                        iters, config.seed, "msbgd")
 
@@ -471,10 +471,12 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
                     y0=None) -> SolveReport:
     """Ground-truth portfolio from the exact risk evaluator.
 
-    Expected shortfall uses the semi-analytic Student-t mixture formula with
-    central finite-difference gradients; volatility uses the model covariance
-    with analytic gradients. Minimization runs until the projected gradient
-    infinity norm falls below stop_tol.
+    Expected shortfall uses the semi-analytic Student-t mixture formula and
+    its closed-form gradient from the same quantile root solve; volatility
+    uses the model covariance with its analytic gradient. L-BFGS-B runs until
+    the projected gradient infinity norm falls below stop_tol; the objective
+    trace holds its value at the start and after each iteration, and the
+    Euler audit uses the same exact gradient.
     """
     d = model.dim
     _check_problem(budgets, d)
@@ -487,8 +489,8 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
         def risk_fn(y):
             return es_tmix(model, y, spec.alpha)
 
-        def risk_grad(y):
-            return _central_gradient(risk_fn, y, config.fd_step)
+        def value_grad(y):
+            return _es_tmix_value_grad(model, y, spec.alpha)
 
         def final_zeta(theta):
             return var_tmix(model, theta, spec.alpha)
@@ -496,12 +498,10 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
         warn_if_nonpositive_risk(spec, risk_fn, d)
     elif isinstance(spec, Volatility):
         sigma = model.covariance()
+        value_grad = partial(volatility_value_and_gradient, sigma)
 
         def risk_fn(y):
-            return volatility_value_and_gradient(sigma, y)[0]
-
-        def risk_grad(y):
-            return volatility_value_and_gradient(sigma, y)[1]
+            return value_grad(y)[0]
 
         def final_zeta(theta):
             return float(-(model.mean() @ theta))
@@ -511,23 +511,19 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     power = spec.power
 
     def objective(y):
-        r = risk_fn(y)
-        return r ** power - float(b @ np.log(y))
-
-    def gradient(y):
-        r = risk_fn(y)
-        scale = power * r ** (power - 1.0)
-        return scale * risk_grad(y) - b / y
+        r, g = value_grad(y)
+        return (r ** power - float(b @ np.log(y)),
+                power * r ** (power - 1.0) * g - b / y)
 
     y_start = _initial_allocation(budgets, y0)
-    trace: list[tuple[int, float]] = [(0, objective(y_start))]
+    trace: list[tuple[int, float]] = [(0, objective(y_start)[0])]
 
-    def callback(yk):
-        trace.append((len(trace), objective(yk)))
+    def callback(intermediate_result):
+        trace.append((len(trace), float(intermediate_result.fun)))
 
     max_iters = config.max_iters or 1000
     t0 = time.perf_counter()
-    res = minimize(objective, y_start, jac=gradient, method="L-BFGS-B",
+    res = minimize(objective, y_start, jac=True, method="L-BFGS-B",
                    bounds=[(1e-12, None)] * d, callback=callback,
                    options={"gtol": config.stop_tol, "ftol": 1e-18,
                             "maxiter": max_iters, "maxcor": 20})
@@ -540,7 +536,7 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     raw = RawAllocation(res.x)
     weights = normalize(raw)
     theta = weights.values
-    audit = euler_audit(theta, risk_fn, risk_grad, budgets)
+    audit = euler_audit(theta, risk_fn, lambda t: value_grad(t)[1], budgets)
     return SolveReport(weights, raw, ZetaState(final_zeta(theta)), audit,
                        np.array(trace, dtype=float), wall, int(res.nit),
                        config.seed, "reference")

@@ -228,7 +228,7 @@ class TestSynthDgp:
         from riskbudget import (Budgets, ExpectedShortfall, SolverConfig,
                                 es_tmix, reference_solve)
         model = synth_dgp(4, seed=24)
-        cfg = SolverConfig(method="reference", stop_tol=1e-8, fd_step=1e-5)
+        cfg = SolverConfig(method="reference", stop_tol=1e-8)
         report = reference_solve(ExpectedShortfall(0.95), Budgets.equal(4), model, cfg)
         assert report.weights.values.min() > 0.0
         y = report.raw.values

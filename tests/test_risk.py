@@ -9,10 +9,11 @@ from riskbudget import (Budgets, Deviation, DeviationPlusMean, ESMeanMixture,
                         Volatility, empirical_es, empirical_var_method7,
                         es_tmix, var_tmix)
 from riskbudget.models import StudentTMixture
-from riskbudget.risk import (deviation_objective, deviation_subgradient,
-                             empirical_risk, ru_objective, ru_subgradient,
-                             spectral_grid, spectral_objective,
-                             spectral_subgradient, volatility_value_and_gradient)
+from riskbudget.risk import (_es_tmix_value_grad, deviation_objective,
+                             deviation_subgradient, empirical_risk,
+                             ru_objective, ru_subgradient, spectral_grid,
+                             spectral_objective, spectral_subgradient,
+                             volatility_value_and_gradient)
 
 B2 = Budgets.equal(2)
 B3 = Budgets.equal(3)
@@ -122,6 +123,24 @@ class TestEsTmix:
     def test_low_dof_rejected(self):
         with pytest.raises(rb.models.ModelError):
             single_t(nu=0.9)
+
+    @pytest.mark.parametrize("which", ["tmix_demo", "synth_dgp10"])
+    def test_gradient_matches_central_differences(self, which, tmix_demo):
+        model = tmix_demo if which == "tmix_demo" else rb.synth_dgp(10, seed=11)
+        rng = np.random.default_rng(12)
+        for alpha in (0.9, 0.95, 0.99):
+            y = np.exp(0.5 * rng.standard_normal(model.dim))
+            value, grad = _es_tmix_value_grad(model, y, alpha)
+            assert value == es_tmix(model, y, alpha)
+            h = 1e-5
+            fd = np.empty(model.dim)
+            for i in range(model.dim):
+                e = np.zeros(model.dim)
+                e[i] = h
+                fd[i] = (es_tmix(model, y + e, alpha) - es_tmix(model, y - e, alpha)) / (2 * h)
+            assert np.abs(fd - grad).max() <= 1e-6 * np.abs(grad).max()
+            # Euler: the ES is positively homogeneous of degree one
+            assert abs(y @ grad - value) <= 1e-12 * abs(value)
 
 
 class TestEmpiricalQuantile:

@@ -8,7 +8,7 @@ from riskbudget import (Budgets, DivergenceError, ExpectedShortfall,
                         multistart_uniqueness_check, osbgd_solve,
                         reference_solve, sgd_solve)
 from riskbudget.models import StudentTMixture
-from riskbudget.risk import empirical_risk
+from riskbudget.risk import empirical_objective_risk, empirical_risk
 
 
 def iid_t_model(d, sigma2=1e-4, nu=4.0):
@@ -232,6 +232,48 @@ def test_every_measure_passes_euler_audit(spec, gmix_stressed):
     report = osbgd_solve(spec, budgets, sample,
                          SolverConfig(method="osbgd", stop_tol=1e-12))
     assert np.abs(report.contributions.budget_errors).max() < 1e-3
+
+
+@pytest.mark.parametrize("spec", EULER_AUDIT_SPECS, ids=rb.measure_label)
+def test_loss_weights_match_central_differences(spec):
+    losses = np.random.default_rng(13).standard_t(df=5, size=300)
+    # gaps between losses exceed h, so no step crosses a kink of a
+    # piecewise-linear measure
+    assert np.diff(np.sort(losses)).min() > 1e-6
+    _, w = empirical_objective_risk(spec, losses)
+    h = 1e-8
+    fd = np.empty(losses.size)
+    for i in range(losses.size):
+        up, down = losses.copy(), losses.copy()
+        up[i] += h
+        down[i] -= h
+        fd[i] = (empirical_objective_risk(spec, up)[0]
+                 - empirical_objective_risk(spec, down)[0]) / (2 * h)
+    assert np.abs(fd - w).max() <= 1e-5 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("spec", EULER_AUDIT_SPECS, ids=rb.measure_label)
+def test_loss_weights_satisfy_euler(spec):
+    # the objective risk is positively homogeneous of degree `power` in the
+    # losses, so its exact gradient reproduces power * value
+    for n, seed in ((300, 13), (1000, 14), (1001, 15)):
+        losses = np.random.default_rng(seed).standard_t(df=5, size=n)
+        value, w = empirical_objective_risk(spec, losses)
+        assert abs(w @ losses - spec.power * value) <= 1e-12 * np.abs(w * losses).sum()
+
+
+@pytest.mark.parametrize("spec", EULER_AUDIT_SPECS, ids=rb.measure_label)
+def test_osbgd_scale_invariant_and_permutation_equivariant(spec, gmix_stressed):
+    sample = rb.sample_model(gmix_stressed, 5_000, seed=8)
+    b = np.array([0.5, 0.3, 0.2])
+    cfg = SolverConfig(method="osbgd")
+    base = osbgd_solve(spec, Budgets(b), sample, cfg).weights.values
+    for lam in (0.03, 7.0):
+        scaled = osbgd_solve(spec, Budgets(b), ReturnSample(sample.data * lam), cfg)
+        assert l1_accuracy(scaled.weights, base) <= 1e-6
+    perm = np.array([2, 0, 1])
+    permuted = osbgd_solve(spec, Budgets(b[perm]), ReturnSample(sample.data[:, perm]), cfg)
+    assert l1_accuracy(permuted.weights, base[perm]) <= 1e-6
 
 
 class TestRiskReduction:
