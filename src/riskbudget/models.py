@@ -4,20 +4,21 @@ synthetic data-generating-process builder for benchmark studies."""
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 from scipy.linalg import solve_triangular
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .core import InputError, NumericError, _values_of
 
 PROB_ATOL = 1e-12
 SYM_ATOL = 1e-12
+_CSV_BLOCK_ROWS = 65536
 
 
 class ModelError(InputError):
@@ -264,7 +265,8 @@ class FitError(NumericError):
 
 
 def _kmeanspp_responsibilities(x: np.ndarray, n_comp: int, rng) -> np.ndarray:
-    # k-means++ style seeding on standardized data, then softened hard assignment
+    # k-means++ style seeding on standardized data, then softened hard
+    # assignment; returns the N x n responsibilities
     sd = x.std(axis=0)
     sd[sd == 0.0] = 1.0
     z = (x - x.mean(axis=0)) / sd
@@ -275,10 +277,9 @@ def _kmeanspp_responsibilities(x: np.ndarray, n_comp: int, rng) -> np.ndarray:
         tot = d2.sum()
         probs = d2 / tot if tot > 0 else np.full(n, 1.0 / n)
         centers.append(z[rng.choice(n, p=probs)])
-    d2 = np.stack([((z - c) ** 2).sum(axis=1) for c in centers], axis=1)
-    assign = d2.argmin(axis=1)
-    resp = np.full((n, n_comp), 0.05 / n_comp)
-    resp[np.arange(n), assign] += 0.95
+    d2 = np.stack([((z - c) ** 2).sum(axis=1) for c in centers])
+    resp = np.full((n_comp, n), 0.05 / n_comp)
+    resp[d2.argmin(axis=0), np.arange(n)] += 0.95
     return resp
 
 
@@ -294,27 +295,43 @@ def _safe_cholesky(mat: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarra
             raise FitError("scatter matrix singular even after regularization") from exc
 
 
-def _log_mvt(x, mu, chol, nu):
-    d = x.shape[1]
-    z = solve_triangular(chol, (x - mu).T, lower=True).T
-    delta = np.einsum("ij,ij->i", z, z)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    logpdf = (gammaln((nu + d) / 2.0) - gammaln(nu / 2.0)
-              - 0.5 * d * np.log(nu * np.pi) - 0.5 * logdet
-              - 0.5 * (nu + d) * np.log1p(delta / nu))
-    return logpdf, delta
+def _log_joint(xt, p, mu, chols, nu=None):
+    """log p_k + log f_k(x) for each component k (rows) and each column x of
+    the d x n array xt, f_k Student-t with nu_k dof or Gaussian for nu None;
+    also, for Student-t, the weights (nu_k + d) / (nu_k + delta_k(x)), delta_k
+    the squared Mahalanobis distance, else None."""
+    d, n = xt.shape
+    out = np.empty((len(p), n))
+    u = None if nu is None else np.empty((len(p), n))
+    for k in range(len(p)):
+        z = solve_triangular(chols[k], np.eye(d), lower=True) @ (xt - mu[k][:, None])
+        delta = np.einsum("ij,ij->j", z, z)
+        logdet = 2.0 * np.log(np.diag(chols[k])).sum()
+        if nu is None:
+            out[k] = np.log(p[k]) - 0.5 * (d * np.log(2.0 * np.pi) + logdet + delta)
+        else:
+            out[k] = np.log(p[k]) + (gammaln((nu[k] + d) / 2.0) - gammaln(nu[k] / 2.0)
+                                     - 0.5 * d * np.log(nu[k] * np.pi) - 0.5 * logdet
+                                     - 0.5 * (nu[k] + d) * np.log1p(delta / nu[k]))
+            u[k] = (nu[k] + d) / (nu[k] + delta)
+    return out, u
 
 
-def _log_mvn(x, mu, chol):
-    d = x.shape[1]
-    z = solve_triangular(chol, (x - mu).T, lower=True).T
-    delta = np.einsum("ij,ij->i", z, z)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + delta), delta
+def _normalize_columns(log_joint: np.ndarray) -> np.ndarray:
+    """Overwrite the N x n log joint densities with responsibilities and
+    return the log-likelihood of each observation (log-sum-exp over N)."""
+    top = log_joint.max(axis=0)
+    log_joint -= top
+    np.exp(log_joint, out=log_joint)
+    tot = log_joint.sum(axis=0)
+    log_joint /= tot
+    return top + np.log(tot)
 
 
 def _em_fit(x: np.ndarray, n_comp: int, config: EMConfig, nu_fixed=None):
-    """Core EM loop shared by the Student-t and Gaussian fits.
+    """Core EM loop shared by the Student-t and Gaussian fits, component-major:
+    the data are one d x n array and the responsibilities N x n, so each
+    component costs one GEMM for the whitened residuals and one for the scatter.
 
     With nu_fixed set, runs the fixed-dof Student-t M-step with latent scale
     weights u = (nu + d) / (nu + mahalanobis^2); otherwise plain Gaussian EM.
@@ -331,47 +348,36 @@ def _em_fit(x: np.ndarray, n_comp: int, config: EMConfig, nu_fixed=None):
     if n <= d * n_comp:
         raise InputError(f"need more than d*N = {d * n_comp} observations, got {n}")
 
-    rng = np.random.default_rng(config.seed)
-    resp = _kmeanspp_responsibilities(x, n_comp, rng)
+    resp = _kmeanspp_responsibilities(x, n_comp, np.random.default_rng(config.seed))
+    xt = np.ascontiguousarray(x.T)
 
     p = np.empty(n_comp)
     mu = np.empty((n_comp, d))
     mats = np.empty((n_comp, d, d))
     chols = np.empty_like(mats)
 
-    def m_step(resp, u):
-        w = resp * u
+    def m_step(resp, w):
         for k in range(n_comp):
-            p[k] = resp[:, k].mean()
-            wk = w[:, k]
-            mu[k] = wk @ x / wk.sum()
-            dx = x - mu[k]
-            scatter = (dx * wk[:, None]).T @ dx / resp[:, k].sum()
+            rk = resp[k].sum()
+            p[k] = rk / n
+            mu[k] = xt @ w[k] / w[k].sum()
+            dxt = xt - mu[k][:, None]
+            scatter = (dxt * w[k]) @ dxt.T / rk
             mats[k], chols[k] = _safe_cholesky(0.5 * (scatter + scatter.T), config.ridge)
 
-    m_step(resp, np.ones_like(resp))
+    m_step(resp, resp)
 
     trace: list[float] = []
-    log_resp = np.empty((n, n_comp))
-    u = np.ones((n, n_comp))
     for _ in range(config.max_iters):
-        for k in range(n_comp):
-            if student:
-                lp, delta = _log_mvt(x, mu[k], chols[k], nu_fixed[k])
-                u[:, k] = (nu_fixed[k] + d) / (nu_fixed[k] + delta)
-            else:
-                lp, _ = _log_mvn(x, mu[k], chols[k])
-            log_resp[:, k] = np.log(p[k]) + lp
-        norms = logsumexp(log_resp, axis=1)
-        ll = float(norms.mean())
+        resp, u = _log_joint(xt, p, mu, chols, nu_fixed)
+        ll = float(_normalize_columns(resp).mean())
         if trace and ll < trace[-1] - 1e-10 * max(1.0, abs(trace[-1])):
             raise FitError(f"log-likelihood decreased: {trace[-1]!r} -> {ll!r}")
         done = bool(trace) and abs(ll - trace[-1]) < config.tol * max(1.0, abs(trace[-1]))
         trace.append(ll)
         if done:
             break
-        resp = np.exp(log_resp - norms[:, None])
-        m_step(resp, u if student else np.ones_like(resp))
+        m_step(resp, resp if u is None else resp * u)
 
     if student:
         model = StudentTMixture(p.copy(), mu.copy(), mats.copy(), nu_fixed.copy())
@@ -396,15 +402,11 @@ def em_fit_gmix(sample: ReturnSample, n_components: int,
 
 def mixture_loglik(model, sample: ReturnSample) -> float:
     """Per-observation log-likelihood of a sample under a fitted mixture."""
-    x = sample.data
-    parts = np.empty((x.shape[0], model.n_components))
-    for k in range(model.n_components):
-        if isinstance(model, StudentTMixture):
-            lp, _ = _log_mvt(x, model.locations[k], model._chol[k], model.dof[k])
-        else:
-            lp, _ = _log_mvn(x, model.means[k], model._chol[k])
-        parts[:, k] = np.log(model.weights[k]) + lp
-    return float(logsumexp(parts, axis=1).mean())
+    student = isinstance(model, StudentTMixture)
+    log_joint, _ = _log_joint(np.ascontiguousarray(sample.data.T), model.weights,
+                              model.locations if student else model.means,
+                              model._chol, model.dof if student else None)
+    return float(_normalize_columns(log_joint).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -516,24 +518,25 @@ def load_model(path):
 
 
 def save_sample(sample: ReturnSample, path, header: bool = False) -> None:
+    """One CSV row per return: repr fields and CRLF row ends, as csv.writer writes."""
+    # formatted and written in blocks of rows, to bound the memory used
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if header:
-            writer.writerow([f"asset_{i + 1}" for i in range(sample.dim)])
-        for row in sample.data:
-            writer.writerow([repr(float(v)) for v in row])
+            fh.write(",".join(f"asset_{i + 1}" for i in range(sample.dim)) + "\r\n")
+        for start in range(0, sample.n, _CSV_BLOCK_ROWS):
+            rows = sample.data[start:start + _CSV_BLOCK_ROWS].tolist()
+            fh.write("\r\n".join([",".join(map(repr, row)) for row in rows]) + "\r\n")
 
 
 def load_sample(path, header: bool = False) -> ReturnSample:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if header and rows:
-        rows = rows[1:]
-    if not rows:
-        raise InputError(f"{path}: empty sample file")
     try:
-        data = np.array([[float(v) for v in row] for row in rows])
+        with warnings.catch_warnings():
+            # an empty file is reported below, not as numpy's UserWarning
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                              skiprows=int(header))
     except ValueError as exc:
         raise InputError(f"{path}: malformed numeric row: {exc}") from exc
+    if data.size == 0:
+        raise InputError(f"{path}: empty sample file")
     return ReturnSample(data)

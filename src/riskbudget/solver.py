@@ -340,7 +340,9 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
 def _bb_descent(risk_part, budgets: Budgets, y: np.ndarray, config: SolverConfig,
                 max_iters: int, stop_on_objective: bool, fresh_risk=None):
     """Shared BB loop. risk_part(y) gives the risk term and its gradient;
-    fresh_risk(k) swaps in a new sample each iteration."""
+    fresh_risk(k) swaps in a new sample each iteration. A run that ends at
+    max_iters without meeting the stop rule returns the iterate with the
+    lowest objective seen."""
 
     def grad(yy, rp):
         f_risk, g_risk = rp(yy)
@@ -358,6 +360,7 @@ def _bb_descent(risk_part, budgets: Budgets, y: np.ndarray, config: SolverConfig
     tail: list[np.ndarray] = []
     last_k = config.last_k or 1
     f_prev = f
+    best_f, best_y = f, y
     iterations = 0
     for k in range(1, max_iters + 1):
         y_new = y - gamma * g
@@ -382,6 +385,8 @@ def _bb_descent(risk_part, budgets: Budgets, y: np.ndarray, config: SolverConfig
         else:
             gamma = (base_fb or 1e-3) / k
         y, g = y_new, g_new
+        if f_new < best_f:
+            best_f, best_y = f_new, y
         trace.append((k, f_new))
         iterations = k
         if len(tail) == last_k:
@@ -391,6 +396,8 @@ def _bb_descent(risk_part, budgets: Budgets, y: np.ndarray, config: SolverConfig
         if stop_on_objective and 0.0 <= f_prev - f_new < config.stop_tol:
             break
         f_prev = f_new
+    else:
+        y = best_y
     return y, np.array(trace, dtype=float), iterations, tail
 
 
@@ -401,7 +408,7 @@ def osbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     The gradient of the risk term is exact: the loss-vector gradient at the
     exact inner thresholds, one full-sample pass per iteration. The run stops
     once the objective decreases by less than stop_tol between consecutive
-    iterations.
+    iterations; one that reaches max_iters first returns its best iterate.
     """
     x = sample.data
     n, d = x.shape

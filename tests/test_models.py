@@ -1,13 +1,20 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import solve_triangular
+from scipy.special import gammaln, logsumexp
 
 import riskbudget as rb
 from riskbudget import (EMConfig, GaussianMixture, ReturnSample,
                         StudentTMixture, em_fit_gmix, em_fit_tmix,
                         loss_cdf_tmix, loss_pdf_tmix, sample_gmix,
                         sample_tmix, synth_dgp)
-from riskbudget.models import ModelError, mixture_loglik
+from riskbudget.core import InputError
+from riskbudget.models import (ModelError, _kmeanspp_responsibilities,
+                               _safe_cholesky, mixture_loglik)
 
 
 def make_tmix(p, mu, scales, nu):
@@ -202,6 +209,107 @@ class TestEMGaussian:
                    - mixture_loglik(swapped, x)) < 1e-12
 
 
+# Row-major EM as it stood before the component-major rewrite: a triangular
+# solve per component, scipy's logsumexp and a per-column M-step. Kept as the
+# oracle the component-major loop must reproduce to rounding.
+
+def _oracle_log_density(x, mu, chol, nu):
+    d = x.shape[1]
+    z = solve_triangular(chol, (x - mu).T, lower=True).T
+    delta = np.einsum("ij,ij->i", z, z)
+    logdet = 2.0 * np.log(np.diag(chol)).sum()
+    if nu is None:
+        return -0.5 * (d * np.log(2.0 * np.pi) + logdet + delta), delta
+    logpdf = (gammaln((nu + d) / 2.0) - gammaln(nu / 2.0)
+              - 0.5 * d * np.log(nu * np.pi) - 0.5 * logdet
+              - 0.5 * (nu + d) * np.log1p(delta / nu))
+    return logpdf, delta
+
+
+def _oracle_em(x, n_comp, config, nu_fixed=None):
+    n, d = x.shape
+    student = nu_fixed is not None
+    resp = _kmeanspp_responsibilities(x, n_comp, np.random.default_rng(config.seed)).T
+    p = np.empty(n_comp)
+    mu = np.empty((n_comp, d))
+    mats = np.empty((n_comp, d, d))
+    chols = np.empty_like(mats)
+
+    def m_step(resp, u):
+        w = resp * u
+        for k in range(n_comp):
+            p[k] = resp[:, k].mean()
+            wk = w[:, k]
+            mu[k] = wk @ x / wk.sum()
+            dx = x - mu[k]
+            scatter = (dx * wk[:, None]).T @ dx / resp[:, k].sum()
+            mats[k], chols[k] = _safe_cholesky(0.5 * (scatter + scatter.T), config.ridge)
+
+    m_step(resp, np.ones_like(resp))
+    trace = []
+    log_resp = np.empty((n, n_comp))
+    u = np.ones((n, n_comp))
+    for _ in range(config.max_iters):
+        for k in range(n_comp):
+            lp, delta = _oracle_log_density(x, mu[k], chols[k],
+                                            nu_fixed[k] if student else None)
+            if student:
+                u[:, k] = (nu_fixed[k] + d) / (nu_fixed[k] + delta)
+            log_resp[:, k] = np.log(p[k]) + lp
+        norms = logsumexp(log_resp, axis=1)
+        ll = float(norms.mean())
+        done = bool(trace) and abs(ll - trace[-1]) < config.tol * max(1.0, abs(trace[-1]))
+        trace.append(ll)
+        if done:
+            break
+        resp = np.exp(log_resp - norms[:, None])
+        m_step(resp, u if student else np.ones_like(resp))
+    return p, mu, mats, trace
+
+
+def _oracle_loglik(x, weights, mu, chols, nu=None):
+    parts = np.column_stack([
+        np.log(weights[k]) + _oracle_log_density(x, mu[k], chols[k],
+                                                 None if nu is None else nu[k])[0]
+        for k in range(len(weights))])
+    return float(logsumexp(parts, axis=1).mean())
+
+
+def _assert_rel_close(got, want, rel):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestEMOracle:
+    CONFIG = EMConfig(seed=0, tol=1e-8, max_iters=500)
+
+    def test_student_matches_row_major_oracle(self, tmix_demo):
+        sample = sample_tmix(tmix_demo, 2 * 10 ** 4, seed=31)
+        nu = np.array([4.0, 2.5])
+        fitted, trace = em_fit_tmix(sample, 2, nu, self.CONFIG, return_trace=True)
+        p, mu, mats, want_trace = _oracle_em(sample.data, 2, self.CONFIG, nu)
+        assert len(trace) == len(want_trace)
+        _assert_rel_close(fitted.weights, p, 1e-9)
+        _assert_rel_close(fitted.locations, mu, 1e-9)
+        _assert_rel_close(fitted.scales, mats, 1e-9)
+        _assert_rel_close(trace, want_trace, 1e-12)
+        want = _oracle_loglik(sample.data, fitted.weights, fitted.locations,
+                              fitted._chol, fitted.dof)
+        assert abs(mixture_loglik(fitted, sample) - want) <= 1e-12 * abs(want)
+
+    def test_gaussian_matches_row_major_oracle(self, gmix_stressed):
+        sample = sample_gmix(gmix_stressed, 2 * 10 ** 4, seed=32)
+        fitted, trace = em_fit_gmix(sample, 2, self.CONFIG, return_trace=True)
+        p, mu, mats, want_trace = _oracle_em(sample.data, 2, self.CONFIG)
+        assert len(trace) == len(want_trace)
+        _assert_rel_close(fitted.weights, p, 1e-9)
+        _assert_rel_close(fitted.means, mu, 1e-9)
+        _assert_rel_close(fitted.covariances, mats, 1e-9)
+        _assert_rel_close(trace, want_trace, 1e-12)
+        want = _oracle_loglik(sample.data, fitted.weights, fitted.means, fitted._chol)
+        assert abs(mixture_loglik(fitted, sample) - want) <= 1e-12 * abs(want)
+
+
 class TestSynthDgp:
     def test_deterministic(self):
         a = synth_dgp(6, seed=21)
@@ -277,3 +385,56 @@ class TestModelIO:
             rb.save_sample(sample, path, header=header)
             back = rb.load_sample(path, header=header)
             assert np.array_equal(back.data, sample.data)
+
+
+def _oracle_save_sample(data, path, header):
+    # the csv.writer + repr writer the bulk writer must match byte for byte
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header:
+            writer.writerow([f"asset_{i + 1}" for i in range(data.shape[1])])
+        for row in data:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+class TestSampleCsv:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(26)
+        data = rng.standard_t(3.0, size=(200, 4)) * 1e-2
+        data[:5] = [[1e-05, 5e-324, -0.0, 1e+22],
+                    [9.999e-05, -1e-05, 0.0, -1e+22],
+                    [1.0, -2.5, 1e16, 123456789.0],
+                    [0.1, 1 / 3, -5e-324, 2.2250738585072014e-308],
+                    [1.7976931348623157e308, 1e-300, 0.30000000000000004, -7.0]]
+        for header in (False, True):
+            got, want = tmp_path / f"got_{header}.csv", tmp_path / f"want_{header}.csv"
+            rb.save_sample(ReturnSample(data), got, header=header)
+            _oracle_save_sample(data, want, header)
+            assert got.read_bytes() == want.read_bytes()
+            back = rb.load_sample(got, header=header).data
+            assert np.array_equal(back, data)
+            assert np.array_equal(np.signbit(back), np.signbit(data))
+
+    def test_blocks_join_seamlessly(self, tmp_path, monkeypatch):
+        data = np.random.default_rng(27).normal(size=(10, 3))
+        monkeypatch.setattr(rb.models, "_CSV_BLOCK_ROWS", 3)
+        rb.save_sample(ReturnSample(data), tmp_path / "got.csv")
+        _oracle_save_sample(data, tmp_path / "want.csv", False)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("text, header", [
+        ("1.0,2.0\r\n3.0\r\n", False),
+        ("1.0,2.0\r\n3.0,abc\r\n", False),
+        ("1.0,2.0\r\n3.0,\r\n", False),
+        ("asset_1,asset_2\r\n1.0,2.0\r\n", False),
+        ("", False),
+        ("", True),
+        ("asset_1,asset_2\r\n", True),
+    ])
+    def test_bad_input_rejected(self, tmp_path, text, header):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError):
+                rb.load_sample(path, header=header)

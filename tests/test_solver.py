@@ -133,6 +133,21 @@ class TestOsbgdSolve:
             osbgd_solve(ExpectedShortfall(0.95), Budgets(np.array([1.0])),
                         sample, SolverConfig(method="osbgd"))
 
+    def test_capped_run_returns_best_iterate(self, gmix_stressed):
+        # BB steps on the piecewise-linear tail mean oscillate; a run cut at
+        # max_iters must hand back its lowest-objective iterate, not its last
+        from riskbudget.solver import _bb_descent, _sample_risk
+        spec = ExpectedShortfall(0.9)
+        budgets = Budgets(np.array([0.5, 0.3, 0.2]))
+        x = rb.sample_model(gmix_stressed, 3000, seed=7).data
+        risk = _sample_risk(spec, x / empirical_risk(spec, -(x @ budgets.values)))
+        y, trace, iters, _ = _bb_descent(risk, budgets, budgets.values.copy(),
+                                         SolverConfig(method="osbgd", stop_tol=0.0),
+                                         60, stop_on_objective=True)
+        f = risk(y)[0] - float(budgets.values @ np.log(y))
+        assert iters == 60
+        assert f == trace[:, 1].min() < trace[-1, 1]
+
     def test_tracks_sgd_on_same_sample(self, demo_sample_1m, tmix_demo):
         budgets = Budgets.equal(4)
         spec = ExpectedShortfall(0.95)
