@@ -19,6 +19,7 @@ from .core import InputError, NumericError, _values_of
 PROB_ATOL = 1e-12
 SYM_ATOL = 1e-12
 _CSV_BLOCK_ROWS = 65536
+_SAMPLE_BLOCK_ROWS = 4096    # sampler rows per block: 4096 x d floats stay in cache
 
 
 class ModelError(InputError):
@@ -177,43 +178,64 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _sample_mixture(weights, locations, chols, dof, n: int, seed: int) -> ReturnSample:
+    """n i.i.d. returns of a Student-t mixture, or of a Gaussian one for dof None.
+
+    The random numbers come first, one generator call each: the components,
+    an n x d standard normal z and, for Student-t, V ~ chi2(nu) per row. The
+    rows are then transformed in blocks of _SAMPLE_BLOCK_ROWS into the output:
+    per block and component, one matmul of the whole block into a buffer, the
+    Student scale and the location in place, and a copy of that component's
+    rows. Each row sees the same arithmetic as when its component's rows are
+    transformed alone, so the bytes do not depend on the block size.
+    """
+    if n < 1:
+        raise InputError("sample size must be at least 1")
+    n_comp, d = locations.shape
+    rng = np.random.default_rng(seed)
+    comp = rng.choice(n_comp, size=n, p=weights)
+    z = rng.standard_normal((n, d))
+    if dof is not None:
+        nu = dof[comp]
+        t_scale = np.sqrt(nu / rng.chisquare(nu))
+    x = np.empty((n, d))
+    buf = np.empty((_SAMPLE_BLOCK_ROWS + 1, d))
+    start = 0
+    while start < n:
+        stop = start + _SAMPLE_BLOCK_ROWS
+        if stop + 1 >= n:
+            # NumPy runs a one-row matmul as a matrix-vector product, which
+            # rounds differently: a last row left alone joins this block
+            stop = n
+        rows = slice(start, stop)
+        out = buf[:stop - start]
+        for k in range(n_comp):
+            mask = comp[rows] == k
+            if not mask.any():
+                continue
+            np.matmul(z[rows], chols[k].T, out=out)
+            if dof is not None:
+                out *= t_scale[rows, None]
+            out += locations[k]
+            np.copyto(x[rows], out, where=mask[:, None])
+        start = stop
+    return ReturnSample(x)
+
+
 def sample_tmix(model: StudentTMixture, n: int, seed: int) -> ReturnSample:
     """Draw n i.i.d. returns from a Student-t mixture.
 
     Each draw picks a component from the mixture probabilities, then applies
     the normal/chi-square representation location + chol(scale) z sqrt(nu/V)
-    with V ~ chi2(nu). Bit-reproducible for a fixed seed.
+    with V ~ chi2(nu). The rows are transformed block by block without
+    gathering each component's rows; the same seed gives the same bytes.
     """
-    if n < 1:
-        raise InputError("sample size must be at least 1")
-    rng = np.random.default_rng(seed)
-    comp = rng.choice(model.n_components, size=n, p=model.weights)
-    z = rng.standard_normal((n, model.dim))
-    chi = rng.chisquare(model.dof[comp])
-    x = np.empty((n, model.dim))
-    for k in range(model.n_components):
-        idx = comp == k
-        if not idx.any():
-            continue
-        scale = np.sqrt(model.dof[k] / chi[idx])[:, None]
-        x[idx] = model.locations[k] + (z[idx] @ model._chol[k].T) * scale
-    return ReturnSample(x)
+    return _sample_mixture(model.weights, model.locations, model._chol, model.dof, n, seed)
 
 
 def sample_gmix(model: GaussianMixture, n: int, seed: int) -> ReturnSample:
     """Draw n i.i.d. returns from a Gaussian mixture; see sample_tmix."""
-    if n < 1:
-        raise InputError("sample size must be at least 1")
-    rng = np.random.default_rng(seed)
-    comp = rng.choice(model.n_components, size=n, p=model.weights)
-    z = rng.standard_normal((n, model.dim))
-    x = np.empty((n, model.dim))
-    for k in range(model.n_components):
-        idx = comp == k
-        if not idx.any():
-            continue
-        x[idx] = model.means[k] + z[idx] @ model._chol[k].T
-    return ReturnSample(x)
+    return _sample_mixture(model.weights, model.means, model._chol, None, n, seed)
 
 
 def sample_model(model, n: int, seed: int) -> ReturnSample:
@@ -299,21 +321,33 @@ def _log_joint(xt, p, mu, chols, nu=None):
     """log p_k + log f_k(x) for each component k (rows) and each column x of
     the d x n array xt, f_k Student-t with nu_k dof or Gaussian for nu None;
     also, for Student-t, the weights (nu_k + d) / (nu_k + delta_k(x)), delta_k
-    the squared Mahalanobis distance, else None."""
+    the squared Mahalanobis distance, else None. The elementwise chains run
+    in place in the rows of the two outputs."""
     d, n = xt.shape
     out = np.empty((len(p), n))
     u = None if nu is None else np.empty((len(p), n))
+    delta = np.empty(n)
     for k in range(len(p)):
         z = solve_triangular(chols[k], np.eye(d), lower=True) @ (xt - mu[k][:, None])
-        delta = np.einsum("ij,ij->j", z, z)
+        np.einsum("ij,ij->j", z, z, out=delta)
         logdet = 2.0 * np.log(np.diag(chols[k])).sum()
+        row = out[k]
         if nu is None:
-            out[k] = np.log(p[k]) - 0.5 * (d * np.log(2.0 * np.pi) + logdet + delta)
+            # log p_k - 0.5 * (d log(2 pi) + logdet + delta)
+            np.add(d * np.log(2.0 * np.pi) + logdet, delta, out=row)
+            np.multiply(0.5, row, out=row)
+            np.subtract(np.log(p[k]), row, out=row)
         else:
-            out[k] = np.log(p[k]) + (gammaln((nu[k] + d) / 2.0) - gammaln(nu[k] / 2.0)
-                                     - 0.5 * d * np.log(nu[k] * np.pi) - 0.5 * logdet
-                                     - 0.5 * (nu[k] + d) * np.log1p(delta / nu[k]))
-            u[k] = (nu[k] + d) / (nu[k] + delta)
+            # log p_k + (c_k - 0.5 (nu_k + d) log1p(delta / nu_k))
+            c = (gammaln((nu[k] + d) / 2.0) - gammaln(nu[k] / 2.0)
+                 - 0.5 * d * np.log(nu[k] * np.pi) - 0.5 * logdet)
+            np.divide(delta, nu[k], out=row)
+            np.log1p(row, out=row)
+            np.multiply(0.5 * (nu[k] + d), row, out=row)
+            np.subtract(c, row, out=row)
+            np.add(np.log(p[k]), row, out=row)
+            np.add(nu[k], delta, out=u[k])
+            np.divide(nu[k] + d, u[k], out=u[k])
     return out, u
 
 

@@ -19,9 +19,13 @@ normalized weights are invariant to this rescaling.
 
 from __future__ import annotations
 
+import math
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 from scipy.optimize import minimize
@@ -40,6 +44,8 @@ from .risk import (ESMeanMixture, ExpectedShortfall, RiskMeasureSpec, Spectral,
                    volatility_value_and_gradient, warn_if_nonpositive_risk)
 
 DIVERGENCE_THRESHOLD = 1e12
+_GATHER_BATCHES = 64      # SGD mini-batches gathered from the sample at once
+_PREFETCH_DRAWS = 2       # msbgd resamples drawn ahead, one thread each
 
 
 @dataclass(frozen=True)
@@ -288,37 +294,42 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     n_avg = 0
     k = 0
     t0 = time.perf_counter()
+    bs = config.batch_size
+    chunk_rows = _GATHER_BATCHES * bs
     for epoch in range(config.epochs):
         if epoch > 0:
             order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = xs[order[start:start + config.batch_size]]
-            value = objective(y, zeta, batch)
-            if not np.isfinite(value) or abs(value) > DIVERGENCE_THRESHOLD:
-                raise DivergenceError(
-                    f"objective {value!r} diverged at iteration {k}", iteration=k)
-            trace[k] = (k, value)
-            g_y, g_z = subgradient(y, zeta, batch)
-            norm = float(np.sqrt(g_y @ g_y + g_z @ g_z))
-            if config.grad_clip > 0.0 and norm > cap:
-                g_y = g_y * (cap / norm)
-                g_z = g_z * (cap / norm)
-            if config.step_schedule.kind == "constant":
-                gamma = base
-            else:
-                gamma = base / (1.0 + k) ** config.step_schedule.exponent
-            y = np.maximum(y - gamma * g_y, floor)
-            zeta = zeta - gamma * g_z
-            k += 1
-            if not np.all(np.isfinite(y)) or not np.all(np.isfinite(zeta)):
-                raise DivergenceError(f"non-finite iterate at iteration {k - 1}",
-                                      iteration=k - 1)
-            if k > avg_start:
-                y_sum += y
-                zeta_sum += zeta
-                n_avg += 1
-            if iterates is not None:
-                iterates[k] = [float(k), *y, *zeta, *(y / y.sum())]
+        for chunk_start in range(0, n, chunk_rows):
+            # one gather per chunk of batches; each batch is a contiguous view
+            chunk = xs[order[chunk_start:chunk_start + chunk_rows]]
+            for start in range(0, len(chunk), bs):
+                batch = chunk[start:start + bs]
+                value = objective(y, zeta, batch)
+                if not math.isfinite(value) or abs(value) > DIVERGENCE_THRESHOLD:
+                    raise DivergenceError(
+                        f"objective {value!r} diverged at iteration {k}", iteration=k)
+                trace[k] = (k, value)
+                g_y, g_z = subgradient(y, zeta, batch)
+                norm = math.sqrt(g_y @ g_y + g_z @ g_z)
+                if config.grad_clip > 0.0 and norm > cap:
+                    g_y = g_y * (cap / norm)
+                    g_z = g_z * (cap / norm)
+                if config.step_schedule.kind == "constant":
+                    gamma = base
+                else:
+                    gamma = base / (1.0 + k) ** config.step_schedule.exponent
+                y = np.maximum(y - gamma * g_y, floor)
+                zeta = zeta - gamma * g_z
+                k += 1
+                if not np.all(np.isfinite(y)) or not np.all(np.isfinite(zeta)):
+                    raise DivergenceError(f"non-finite iterate at iteration {k - 1}",
+                                          iteration=k - 1)
+                if k > avg_start:
+                    y_sum += y
+                    zeta_sum += zeta
+                    n_avg += 1
+                if iterates is not None:
+                    iterates[k] = [float(k), *y, *zeta, *(y / y.sum())]
     final_value = objective(y, zeta, batch)
     if not np.isfinite(final_value):
         raise DivergenceError(f"non-finite objective at iteration {k}", iteration=k)
@@ -434,36 +445,57 @@ def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
                 config: SolverConfig, y0=None) -> SolveReport:
     """Multi-sample benchmark descent: the gradient at each BB iteration is
     recomputed on a fresh seeded sample of resample_size; runs for a fixed
-    number of iterations and averages the trailing last_k iterates."""
+    number of iterations and averages the trailing last_k iterates.
+
+    Each sample's seed depends only on config.seed and the iteration, not on
+    the iterate, so resamples 1..max_iters and the audit sample are drawn
+    ahead on up to two threads while the descent works: at most two draws
+    run or wait ahead of the sample in use. The report has the same bytes as
+    drawing each sample when it is needed. Pending draws are cancelled and
+    the threads joined before the solve returns or raises.
+    """
     d = model.dim
     _check_problem(budgets, d)
-    first = sample_model(model, config.resample_size, derive_seed(config.seed, "msbgd", 0))
-    x0 = first.data
-    warn_if_nonpositive_risk(spec, lambda w: empirical_risk(spec, -(x0 @ w)), d)
-    scale = _standardization_constant(spec, -(x0 @ normalize(budgets.values).values))
-    y = _initial_allocation(budgets, y0)
-
-    samples = {0: x0 / scale}
-
-    def fresh_risk(k):
-        if k not in samples:
-            data = sample_model(model, config.resample_size,
-                                derive_seed(config.seed, "msbgd", k)).data
-            samples.clear()
-            samples[k] = data / scale
-        return _sample_risk(spec, samples[k])
-
     iters_fixed = config.max_iters or 60
-    cfg = config if config.last_k is not None else replace(config, last_k=5)
-    t0 = time.perf_counter()
-    _, trace, iters, tail = _bb_descent(None, budgets, y, cfg, iters_fixed,
-                                        stop_on_objective=False, fresh_risk=fresh_risk)
-    wall = time.perf_counter() - t0
+    keys = iter([*range(1, iters_fixed + 1), "audit"])
+    ahead = deque()
+
+    def draw(key):
+        return sample_model(model, config.resample_size,
+                            derive_seed(config.seed, "msbgd", key)).data
+
+    def next_sample():
+        # hand out the oldest draw and start the next, keeping two ahead
+        future = ahead.popleft()
+        key = next(keys, None)
+        if key is not None:
+            ahead.append(pool.submit(draw, key))
+        return future.result()
+
+    pool = ThreadPoolExecutor(max_workers=_PREFETCH_DRAWS)
+    try:
+        for key in islice(keys, _PREFETCH_DRAWS):
+            ahead.append(pool.submit(draw, key))
+        x0 = draw(0)
+        warn_if_nonpositive_risk(spec, lambda w: empirical_risk(spec, -(x0 @ w)), d)
+        scale = _standardization_constant(spec, -(x0 @ normalize(budgets.values).values))
+        y = _initial_allocation(budgets, y0)
+
+        def fresh_risk(k):
+            # the descent asks for k = 0, 1, ..., iters_fixed in turn, once each
+            return _sample_risk(spec, (x0 if k == 0 else next_sample()) / scale)
+
+        cfg = config if config.last_k is not None else replace(config, last_k=5)
+        t0 = time.perf_counter()
+        _, trace, iters, tail = _bb_descent(None, budgets, y, cfg, iters_fixed,
+                                            stop_on_objective=False, fresh_risk=fresh_risk)
+        wall = time.perf_counter() - t0
+        audit_data = next_sample()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     y_avg = np.mean(tail, axis=0)
     raw = RawAllocation(y_avg / scale)
     weights = normalize(raw)
-    audit_data = sample_model(model, config.resample_size,
-                              derive_seed(config.seed, "msbgd", "audit")).data
     zeta = spec.init_zeta(-((audit_data / scale) @ y_avg))
     report = _empirical_report(spec, budgets, weights, audit_data)
     return SolveReport(weights, raw, ZetaState(zeta), report, trace, wall,

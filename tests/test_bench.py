@@ -1,5 +1,6 @@
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -102,6 +103,29 @@ class TestAccuracyStudy:
                 (4, "model_free", "sgd"), (4, "model_free", "osbgd")]
         for a, b in zip(serial, parallel):
             assert a.acc_mean == b.acc_mean and a.acc_std == b.acc_std
+
+    def test_jobs_agree_with_msbgd_pools(self):
+        # two study threads, each running msbgd with its own draw pool
+        spec = ExperimentSpec(
+            dims=(4,), repetitions=2, n_hist=500, sim_size=10_000,
+            settings=("true_params",),
+            solver_overrides={
+                "sgd": {"method": "sgd", "epochs": 1},
+                "osbgd": {"method": "osbgd", "max_iters": 30},
+                "msbgd": {"method": "msbgd", "max_iters": 8, "last_k": 3,
+                          "resample_size": 5_000},
+            },
+            master_seed=13)
+        threads = threading.active_count()
+        serial = run_accuracy_study(spec)
+        parallel = run_accuracy_study(ExperimentSpec(**{**spec.__dict__, "jobs": 2}))
+        assert threading.active_count() == threads
+        untimed = [(r.d, r.method, r.setting, r.acc_mean, r.acc_std, r.errors)
+                   for r in serial]
+        assert untimed == [(r.d, r.method, r.setting, r.acc_mean, r.acc_std, r.errors)
+                           for r in parallel]
+        assert [r[1] for r in untimed] == ["sgd", "osbgd", "msbgd"]
+        assert all(r[5] == "" for r in untimed)
 
     def test_estimated_model_settings(self):
         spec = ExperimentSpec(

@@ -118,6 +118,75 @@ class TestSampleGmix:
         assert stat.pvalue > 0.01
 
 
+# The samplers as they stood before the block transform: one boolean-mask
+# gather, GEMM and scatter per component over the whole sample. Kept as the
+# oracle the block sampler must reproduce byte for byte.
+
+def _oracle_sample_tmix(model, n, seed):
+    rng = np.random.default_rng(seed)
+    comp = rng.choice(model.n_components, size=n, p=model.weights)
+    z = rng.standard_normal((n, model.dim))
+    chi = rng.chisquare(model.dof[comp])
+    x = np.empty((n, model.dim))
+    for k in range(model.n_components):
+        idx = comp == k
+        if not idx.any():
+            continue
+        scale = np.sqrt(model.dof[k] / chi[idx])[:, None]
+        x[idx] = model.locations[k] + (z[idx] @ model._chol[k].T) * scale
+    return x, np.bincount(comp, minlength=model.n_components)
+
+
+def _oracle_sample_gmix(model, n, seed):
+    rng = np.random.default_rng(seed)
+    comp = rng.choice(model.n_components, size=n, p=model.weights)
+    z = rng.standard_normal((n, model.dim))
+    x = np.empty((n, model.dim))
+    for k in range(model.n_components):
+        idx = comp == k
+        if not idx.any():
+            continue
+        x[idx] = model.means[k] + z[idx] @ model._chol[k].T
+    return x, np.bincount(comp, minlength=model.n_components)
+
+
+def _assert_same_draws(model, n, seed):
+    student = isinstance(model, StudentTMixture)
+    got = (sample_tmix if student else sample_gmix)(model, n, seed).data
+    want, counts = (_oracle_sample_tmix if student else _oracle_sample_gmix)(model, n, seed)
+    if np.any(counts == 1):
+        # the oracle transforms a component's single row as a one-row matmul,
+        # which NumPy runs as a matrix-vector product and which rounds
+        # differently from the block's GEMM: allow a few units in the last place
+        assert np.abs(got - want).max() <= 4e-16 * np.abs(want).max()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+class TestSamplerOracle:
+    SEEDS = (0, 1, 17, 2024)
+    SIZES = (2, 64, 3500, rb.models._SAMPLE_BLOCK_ROWS + 1, 100_003)
+
+    @pytest.mark.parametrize("name", ["tmix4_demo", "gmix3_stressed", "synth10"])
+    def test_block_sampler_matches_oracle(self, name):
+        if name == "synth10":
+            model = synth_dgp(10, seed=29)
+        else:
+            model = rb.load_model(rb.bundled_model_path(name))
+        for n in self.SIZES:
+            for seed in self.SEEDS:
+                _assert_same_draws(model, n, seed)
+
+    @pytest.mark.parametrize("block", [2, 5, 1000])
+    def test_block_size_leaves_bytes(self, monkeypatch, tmix_demo, gmix_stressed, block):
+        want = [sample_tmix(tmix_demo, 3001, seed=30).data.tobytes(),
+                sample_gmix(gmix_stressed, 3001, seed=30).data.tobytes()]
+        monkeypatch.setattr(rb.models, "_SAMPLE_BLOCK_ROWS", block)
+        got = [sample_tmix(tmix_demo, 3001, seed=30).data.tobytes(),
+               sample_gmix(gmix_stressed, 3001, seed=30).data.tobytes()]
+        assert got == want
+
+
 class TestLossDistribution:
     def test_cdf_limits_and_symmetry(self, tmix_demo):
         y = np.full(4, 0.25)

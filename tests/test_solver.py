@@ -1,3 +1,7 @@
+import json
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +11,10 @@ from riskbudget import (Budgets, DivergenceError, ExpectedShortfall,
                         es_tmix, l1_accuracy, msbgd_solve,
                         multistart_uniqueness_check, osbgd_solve,
                         reference_solve, sgd_solve)
-from riskbudget.models import StudentTMixture
-from riskbudget.risk import empirical_objective_risk, empirical_risk
+from riskbudget import solver as solver_mod
+from riskbudget.models import StudentTMixture, derive_seed, sample_model
+from riskbudget.risk import (ZetaState, empirical_objective_risk,
+                             empirical_risk, warn_if_nonpositive_risk)
 
 
 def iid_t_model(d, sigma2=1e-4, nu=4.0):
@@ -190,6 +196,103 @@ class TestMsbgdSolve:
         b = msbgd_solve(ExpectedShortfall(0.95), Budgets.equal(4), tmix_demo, cfg)
         assert np.array_equal(a.weights.values, b.weights.values)
         assert np.array_equal(a.objective_trace, b.objective_trace)
+
+
+def _serial_msbgd(spec, budgets, model, config):
+    """msbgd as it stood before the prefetch pool: each sample drawn on the
+    calling thread when the descent asks for it. The oracle the pooled
+    solve must reproduce byte for byte."""
+    def draw(key):
+        return sample_model(model, config.resample_size,
+                            derive_seed(config.seed, "msbgd", key)).data
+
+    x0 = draw(0)
+    d = model.dim
+    warn_if_nonpositive_risk(spec, lambda w: empirical_risk(spec, -(x0 @ w)), d)
+    scale = solver_mod._standardization_constant(
+        spec, -(x0 @ rb.normalize(budgets.values).values))
+    y = solver_mod._initial_allocation(budgets, None)
+
+    def fresh_risk(k):
+        return solver_mod._sample_risk(spec, (x0 if k == 0 else draw(k)) / scale)
+
+    iters_fixed = config.max_iters or 60
+    cfg = config if config.last_k is not None else replace(config, last_k=5)
+    _, trace, iters, tail = solver_mod._bb_descent(
+        None, budgets, y, cfg, iters_fixed, stop_on_objective=False,
+        fresh_risk=fresh_risk)
+    y_avg = np.mean(tail, axis=0)
+    raw = rb.RawAllocation(y_avg / scale)
+    weights = rb.normalize(raw)
+    audit_data = draw("audit")
+    zeta = spec.init_zeta(-((audit_data / scale) @ y_avg))
+    report = solver_mod._empirical_report(spec, budgets, weights, audit_data)
+    return rb.SolveReport(weights, raw, ZetaState(zeta), report, trace, 0.0,
+                          iters, config.seed, "msbgd")
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+class TestMsbgdPrefetch:
+    @pytest.mark.parametrize("spec", [ExpectedShortfall(0.95), Volatility()],
+                             ids=["es", "volatility"])
+    @pytest.mark.parametrize("max_iters, size", [(1, 3000), (7, 2 * 4096 + 3), (25, 5000)])
+    def test_matches_serial_oracle(self, tmix_demo, spec, max_iters, size):
+        budgets = Budgets(np.array([0.4, 0.3, 0.2, 0.1]))
+        cfg = SolverConfig(method="msbgd", max_iters=max_iters, resample_size=size,
+                           seed=50 + max_iters)
+        got = msbgd_solve(spec, budgets, tmix_demo, cfg).to_dict(include_timing=False)
+        want = _serial_msbgd(spec, budgets, tmix_demo, cfg).to_dict(include_timing=False)
+        assert json.dumps(got) == json.dumps(want)
+
+    def test_draw_error_reaches_caller_and_threads_end(self, tmix_demo, monkeypatch):
+        cfg = SolverConfig(method="msbgd", max_iters=10, resample_size=2000, seed=51)
+        budgets = Budgets.equal(4)
+        threads = threading.active_count()
+        msbgd_solve(ExpectedShortfall(0.95), budgets, tmix_demo, cfg)
+        assert threading.active_count() == threads
+
+        failing_seed = derive_seed(cfg.seed, "msbgd", 2)
+
+        def third_draw_fails(model, n, seed):
+            if seed == failing_seed:
+                raise _DrawFailed("third draw")
+            return sample_model(model, n, seed)
+
+        monkeypatch.setattr(solver_mod, "sample_model", third_draw_fails)
+        with pytest.raises(_DrawFailed):
+            msbgd_solve(ExpectedShortfall(0.95), budgets, tmix_demo, cfg)
+        assert threading.active_count() == threads
+
+    def test_draws_stay_two_ahead(self, tmix_demo, monkeypatch):
+        # a draw for iteration j may start once the descent has taken the
+        # samples of iterations 0..j-3, never earlier
+        cfg = SolverConfig(method="msbgd", max_iters=12, resample_size=2000, seed=52)
+        keys = {derive_seed(cfg.seed, "msbgd", k): k for k in range(cfg.max_iters + 1)}
+        keys[derive_seed(cfg.seed, "msbgd", "audit")] = cfg.max_iters + 1
+        lock = threading.Lock()
+        used = [0]
+        started = {}
+        sample_risk = solver_mod._sample_risk
+
+        def recording_draw(model, n, seed):
+            with lock:
+                started[keys[seed]] = used[0]
+            return sample_model(model, n, seed)
+
+        def counting_risk(spec, xs):
+            with lock:
+                used[0] += 1
+            return sample_risk(spec, xs)
+
+        monkeypatch.setattr(solver_mod, "sample_model", recording_draw)
+        monkeypatch.setattr(solver_mod, "_sample_risk", counting_risk)
+        msbgd_solve(ExpectedShortfall(0.95), Budgets.equal(4), tmix_demo, cfg)
+        assert sorted(started) == list(range(cfg.max_iters + 2))
+        for key, uses in started.items():
+            assert uses >= key - 2
 
 
 class TestReferenceSolve:
