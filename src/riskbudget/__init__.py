@@ -21,9 +21,9 @@ from .risk import (Deviation, DeviationPlusMean, ESMeanMixture,
                    ru_objective, ru_subgradient, spectral_grid,
                    spectral_objective, spectral_subgradient, var_tmix,
                    volatility_value_and_gradient)
-from .solver import (SolveReport, SolverConfig, StepSchedule,
-                     msbgd_solve, multistart_uniqueness_check, osbgd_solve,
-                     reference_solve, sgd_solve, solve)
+from .solver import (SolveReport, SolverConfig, msbgd_solve,
+                     multistart_uniqueness_check, osbgd_solve, reference_solve,
+                     sgd_solve, solve)
 from .bench import (BenchRow, ExperimentSpec, run_accuracy_study,
                     run_measure_comparison, run_reference, run_sgd_trace)
 

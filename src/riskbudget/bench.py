@@ -55,7 +55,6 @@ class ExperimentSpec:
     first and solve on simulated data.
     """
 
-    experiment: str = "accuracy_study"
     dims: tuple[int, ...] = (10,)
     repetitions: int = 10
     alpha: float = 0.95
@@ -84,8 +83,7 @@ def _study_configs(spec: ExperimentSpec) -> dict[str, SolverConfig]:
         "model_free_sgd": SolverConfig(method="sgd", batch_size=128, epochs=100),
         "sgd": SolverConfig(method="sgd", batch_size=128, epochs=4),
         "osbgd": SolverConfig(method="osbgd", stop_tol=1e-6, max_iters=1000),
-        "msbgd": SolverConfig(method="msbgd", max_iters=60, last_k=5,
-                              resample_size=100_000),
+        "msbgd": SolverConfig(method="msbgd", max_iters=60, resample_size=100_000),
         "reference": SolverConfig(method="reference", stop_tol=1e-6),
     }
     for key, override in spec.solver_overrides.items():

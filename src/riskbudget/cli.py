@@ -50,11 +50,15 @@ def _parse_budgets(text: str | None, d: int) -> Budgets:
     return Budgets(np.asarray(values))
 
 
-def solver_config_from_dict(doc: dict, seed: int | None = None) -> SolverConfig:
-    doc = dict(doc or {})
-    if seed is not None:
-        doc.setdefault("seed", seed)
-    return config_from_dict(doc)
+def _solver_config(args, doc: dict | None = None) -> SolverConfig:
+    """Solver settings from the "solver" entry of the --config document (read
+    from args.config unless given), seeded by --seed unless the entry sets one."""
+    if doc is None:
+        doc = _load_json(args.config) if args.config else {}
+    solver = (doc.get("solver") or {}) if isinstance(doc, dict) else None
+    if not isinstance(solver, dict):
+        raise InputError('--config must be a JSON object whose "solver" entry is an object')
+    return config_from_dict({"seed": args.seed, **solver})
 
 
 def experiment_from_dict(doc: dict, args) -> ExperimentSpec:
@@ -89,10 +93,8 @@ def _write_report(args, report, name: str) -> None:
 def _cmd_reference(args) -> int:
     model = load_model(args.model)
     budgets = _parse_budgets(args.budgets, model.dim)
-    config = solver_config_from_dict(_load_json(args.config).get("solver", {})
-                                     if args.config else {}, seed=args.seed)
     report = run_reference(model, budgets, args.alpha,
-                           replace(config, method="reference"))
+                           replace(_solver_config(args), method="reference"))
     print(format_reference_table(report))
     _write_report(args, report, "reference_report.json")
     return 0
@@ -103,8 +105,7 @@ def _cmd_solve(args) -> int:
     if "measure" not in doc:
         raise InputError("solve needs a --config JSON with a 'measure' entry")
     spec = measure_from_dict(doc["measure"])
-    config = solver_config_from_dict(doc.get("solver", {}), seed=args.seed)
-    config = replace(config, method=args.method)
+    config = replace(_solver_config(args, doc), method=args.method)
     if args.method in ("sgd", "osbgd"):
         if args.sample:
             data = load_sample(args.sample, header=args.header)
@@ -128,9 +129,7 @@ def _cmd_solve(args) -> int:
 def _cmd_trace(args) -> int:
     model = load_model(args.model)
     budgets = _parse_budgets(args.budgets, model.dim)
-    config = solver_config_from_dict(_load_json(args.config).get("solver", {})
-                                     if args.config else {}, seed=args.seed)
-    report = run_sgd_trace(model, budgets, args.alpha, config,
+    report = run_sgd_trace(model, budgets, args.alpha, _solver_config(args),
                            sample_size=args.sample_size, seed=args.seed)
     write_trace_csv(report, _out_path(args, "trace.csv"))
     _write_report(args, report, "trace_report.json")
@@ -156,11 +155,7 @@ def _cmd_compare(args) -> int:
     if not isinstance(docs, list):
         raise InputError("--measures must be a JSON list of measure documents")
     measures = [measure_from_dict(d) for d in docs]
-    config = None
-    if args.config:
-        config = solver_config_from_dict(_load_json(args.config).get("solver", {}),
-                                         seed=args.seed)
-    rows, notes = run_measure_comparison(model, measures, budgets, config,
+    rows, notes = run_measure_comparison(model, measures, budgets, _solver_config(args),
                                          sample_size=args.sample_size, seed=args.seed)
     print(format_comparison_table(rows))
     for label, note in notes.items():

@@ -433,24 +433,12 @@ def _es_tail(x: np.ndarray, alpha: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # shared pieces for the stochastic objectives
 
-def _losses(y, batch) -> np.ndarray:
-    if isinstance(batch, np.ndarray):
-        x = batch
-    elif hasattr(batch, "data"):
-        x = batch.data
-    else:
-        x = np.asarray(batch, dtype=float)
-    return -(x @ _values_of(y)), x
+def _losses(y, batch: np.ndarray) -> np.ndarray:
+    return -(batch @ _values_of(y))
 
 
 def _barrier(budgets: Budgets, y) -> float:
     return float(-np.dot(budgets.values, np.log(_values_of(y))))
-
-
-def _zeta_values(zeta) -> np.ndarray:
-    if isinstance(zeta, ZetaState):
-        return zeta.values
-    return np.atleast_1d(np.asarray(zeta, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -480,8 +468,8 @@ def ru_objective(spec, budgets: Budgets, y, zeta, batch) -> float:
     + delta * loss, minus the log-barrier sum_i b_i log y_i.
     """
     alpha, beta, delta = spec.alpha, spec.beta, spec.delta
-    z = float(_zeta_values(zeta)[0])
-    losses, _ = _losses(y, batch)
+    z = float(zeta[0])
+    losses = _losses(y, batch)
     ru = z + np.maximum(losses - z, 0.0).mean() / (1.0 - alpha)
     val = beta * ru + _barrier(budgets, y)
     if delta != 0.0:
@@ -493,13 +481,13 @@ def ru_subgradient(spec, budgets: Budgets, y, zeta, batch):
     """Subgradient of ru_objective at (y, zeta); ties resolved by strict >."""
     alpha, beta, delta = spec.alpha, spec.beta, spec.delta
     yv = _values_of(y)
-    z = float(_zeta_values(zeta)[0])
-    losses, x = _losses(y, batch)
+    z = float(zeta[0])
+    losses = _losses(y, batch)
     tail = losses > z
     g_zeta = beta * (1.0 - tail.mean() / (1.0 - alpha))
-    g_y = -beta * (x * tail[:, None]).mean(axis=0) / (1.0 - alpha) - budgets.values / yv
+    g_y = -beta * (batch * tail[:, None]).mean(axis=0) / (1.0 - alpha) - budgets.values / yv
     if delta != 0.0:
-        g_y = g_y - delta * x.mean(axis=0)
+        g_y = g_y - delta * batch.mean(axis=0)
     return g_y, np.array([g_zeta])
 
 
@@ -565,12 +553,11 @@ def spectral_objective(spec: Spectral, grid: SpectralGrid, budgets: Budgets,
     mean-subtracted form (the coefficients sum to one, so this subtracts the
     batch mean loss exactly once).
     """
-    z = _zeta_values(zeta)
-    if z.size != grid.n_nodes:
-        raise InputError(f"threshold vector has {z.size} entries, grid has {grid.n_nodes}")
-    losses, _ = _losses(y, batch)
-    hinge = np.maximum(losses[:, None] - z[None, :], 0.0).mean(axis=0)
-    nodes = z + hinge / (1.0 - grid.levels)
+    if zeta.size != grid.n_nodes:
+        raise InputError(f"threshold vector has {zeta.size} entries, grid has {grid.n_nodes}")
+    losses = _losses(y, batch)
+    hinge = np.maximum(losses[:, None] - zeta[None, :], 0.0).mean(axis=0)
+    nodes = zeta + hinge / (1.0 - grid.levels)
     val = float(np.dot(grid.coeff, nodes)) + _barrier(budgets, y)
     if spec.subtract_mean:
         val -= losses.mean()
@@ -580,17 +567,16 @@ def spectral_objective(spec: Spectral, grid: SpectralGrid, budgets: Budgets,
 def spectral_subgradient(spec: Spectral, grid: SpectralGrid, budgets: Budgets,
                          y, zeta, batch):
     """Subgradient of spectral_objective at (y, zeta)."""
-    z = _zeta_values(zeta)
-    if z.size != grid.n_nodes:
-        raise InputError(f"threshold vector has {z.size} entries, grid has {grid.n_nodes}")
+    if zeta.size != grid.n_nodes:
+        raise InputError(f"threshold vector has {zeta.size} entries, grid has {grid.n_nodes}")
     yv = _values_of(y)
-    losses, x = _losses(y, batch)
-    tail = losses[:, None] > z[None, :]
+    losses = _losses(y, batch)
+    tail = losses[:, None] > zeta[None, :]
     g_zeta = grid.coeff * (1.0 - tail.mean(axis=0) / (1.0 - grid.levels))
     node_w = grid.coeff / (1.0 - grid.levels)
-    g_y = -(x.T @ tail) @ node_w / len(losses) - budgets.values / yv
+    g_y = -(batch.T @ tail) @ node_w / len(losses) - budgets.values / yv
     if spec.subtract_mean:
-        g_y = g_y + x.mean(axis=0)
+        g_y = g_y + batch.mean(axis=0)
     return g_y, g_zeta
 
 
@@ -608,8 +594,8 @@ def _hinge_power(losses, z, a, b, p) -> np.ndarray:
 def deviation_objective(spec, budgets: Budgets, y, zeta, batch) -> float:
     """mean(psi_{a,b}(loss - zeta)^p) [+ delta * mean loss] minus the barrier."""
     a, b, p, delta = spec.a, spec.b, spec.p, spec.delta
-    z = float(_zeta_values(zeta)[0])
-    losses, _ = _losses(y, batch)
+    z = float(zeta[0])
+    losses = _losses(y, batch)
     val = _hinge_power(losses, z, a, b, p).mean() + _barrier(budgets, y)
     if delta != 0.0:
         val += delta * losses.mean()
@@ -620,8 +606,8 @@ def deviation_subgradient(spec, budgets: Budgets, y, zeta, batch):
     """Subgradient of deviation_objective; p = 1 uses strict-inequality hinges."""
     a, b, p, delta = spec.a, spec.b, spec.p, spec.delta
     yv = _values_of(y)
-    z = float(_zeta_values(zeta)[0])
-    losses, x = _losses(y, batch)
+    z = float(zeta[0])
+    losses = _losses(y, batch)
     if p == 1.0:
         w_pos = a * (losses > z).astype(float)
         w_neg = b * (losses < z).astype(float)
@@ -631,9 +617,9 @@ def deviation_subgradient(spec, budgets: Budgets, y, zeta, batch):
         w_pos = p * a ** p * pos ** (p - 1.0)
         w_neg = p * b ** p * neg ** (p - 1.0)
     g_zeta = float(np.mean(-w_pos + w_neg))
-    g_y = -(x * (w_pos - w_neg)[:, None]).mean(axis=0) - budgets.values / yv
+    g_y = -(batch * (w_pos - w_neg)[:, None]).mean(axis=0) - budgets.values / yv
     if delta != 0.0:
-        g_y = g_y - delta * x.mean(axis=0)
+        g_y = g_y - delta * batch.mean(axis=0)
     return g_y, np.array([g_zeta])
 
 

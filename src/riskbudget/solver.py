@@ -23,9 +23,9 @@ import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 from scipy.optimize import minimize
@@ -44,35 +44,25 @@ from .risk import (ESMeanMixture, ExpectedShortfall, RiskMeasureSpec, Spectral,
                    volatility_value_and_gradient, warn_if_nonpositive_risk)
 
 DIVERGENCE_THRESHOLD = 1e12
+_STEP_EXPONENT = 0.6      # SGD step gamma_k = base / (1 + k)^0.6
 _GATHER_BATCHES = 64      # SGD mini-batches gathered from the sample at once
 _PREFETCH_DRAWS = 2       # msbgd resamples drawn ahead, one thread each
 
 
 @dataclass(frozen=True)
-class StepSchedule:
-    """SGD step size gamma_k = base / (1 + k)^exponent.
+class SolverConfig:
+    """Settings of every solver route; the README says which route reads each.
 
-    base <= 0 requests automatic calibration from the initial objective
-    scale; kind="constant" freezes gamma_k = base.
+    step_base > 0 fixes the SGD base step and the BB first and fallback steps;
+    otherwise SGD calibrates its base from the initial objective scale.
     """
 
-    kind: str = "polynomial"
-    base: float = 0.0
-    exponent: float = 0.6
-
-    def __post_init__(self):
-        if self.kind not in ("polynomial", "constant"):
-            raise InputError(f"unknown schedule kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
     method: str = "sgd"
     batch_size: int = 128
     epochs: int = 10
-    step_schedule: StepSchedule = field(default_factory=StepSchedule)
+    step_base: float = 0.0
     averaging_fraction: float = 0.2
-    last_k: int | None = None
+    last_k: int = 5
     stop_tol: float = 1e-6
     max_iters: int | None = None
     resample_size: int = 100_000
@@ -85,23 +75,14 @@ class SolverConfig:
             raise InputError("batch_size must be at least 1")
         if not 0.0 < self.averaging_fraction <= 1.0:
             raise InputError("averaging_fraction must lie in (0, 1]")
-        if self.last_k is not None and self.last_k < 1:
+        if self.last_k < 1:
             raise InputError("last_k must be at least 1")
 
 
 def config_from_dict(doc: dict, base: SolverConfig | None = None) -> SolverConfig:
     """SolverConfig from a JSON-style dict, optionally on top of a base config."""
-    doc = dict(doc or {})
-    sched = doc.get("step_schedule")
-    if isinstance(sched, dict):
-        try:
-            doc["step_schedule"] = StepSchedule(**sched)
-        except TypeError as exc:
-            raise InputError(f"bad step schedule: {exc}") from exc
     try:
-        if base is None:
-            return SolverConfig(**doc)
-        return replace(base, **doc)
+        return replace(base or SolverConfig(), **(doc or {}))
     except TypeError as exc:
         raise InputError(f"bad solver config: {exc}") from exc
 
@@ -235,6 +216,27 @@ def _initial_allocation(budgets: Budgets, y0) -> np.ndarray:
     return y0
 
 
+def _start(spec: RiskMeasureSpec, budgets: Budgets, x: np.ndarray, y0):
+    """Common start of the sample routes on the returns x: problem checks,
+    positivity probe, standardization constant and starting allocation."""
+    d = x.shape[1]
+    _check_problem(budgets, d)
+    warn_if_nonpositive_risk(spec, lambda w: empirical_risk(spec, -(x @ w)), d)
+    scale = _standardization_constant(spec, -(x @ normalize(budgets.values).values))
+    return scale, _initial_allocation(budgets, y0)
+
+
+def _finish(method, spec, budgets, config, scale, x, y, zeta, trace, wall, iterations,
+            iterates=None) -> SolveReport:
+    """Common end of the sample routes: unscale the standardized allocation y,
+    normalize it and audit the weights on the returns x."""
+    raw = RawAllocation(y / scale)
+    weights = normalize(raw)
+    report = _empirical_report(spec, budgets, weights, x)
+    return SolveReport(weights, raw, ZetaState(zeta), report, trace, wall,
+                       iterations, config.seed, method, iterate_trace=iterates)
+
+
 # ---------------------------------------------------------------------------
 # stochastic gradient descent
 
@@ -248,26 +250,19 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     """
     x = sample.data
     n, d = x.shape
-    _check_problem(budgets, d)
     if config.epochs < 1:
         raise InputError("need at least one epoch")
     if n < config.batch_size:
         raise InputError(f"sample of {n} rows is smaller than one batch ({config.batch_size})")
-
-    warn_if_nonpositive_risk(spec, lambda w: empirical_risk(spec, -(x @ w)), d)
+    scale, y = _start(spec, budgets, x, y0)
     objective, subgradient = _step_pair(spec, budgets)
-    scale = _standardization_constant(spec, -(x @ normalize(budgets.values).values))
     xs = x / scale
 
-    y = _initial_allocation(budgets, y0)
     floor = 1e-8 * y.mean()
     rng = np.random.default_rng(config.seed)
     batches_per_epoch = int(np.ceil(n / config.batch_size))
     total = config.epochs * batches_per_epoch
-    if config.last_k is not None:
-        avg_start = max(total - config.last_k, 0)
-    else:
-        avg_start = int(np.floor(total * (1.0 - config.averaging_fraction)))
+    avg_start = int(np.floor(total * (1.0 - config.averaging_fraction)))
 
     order = rng.permutation(n)
     first = xs[order[:config.batch_size]]
@@ -275,8 +270,8 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     obj0 = objective(y, zeta, first)
     if not np.isfinite(obj0):
         raise NumericError("non-finite objective at the starting point")
-    if config.step_schedule.base > 0.0:
-        base = config.step_schedule.base
+    if config.step_base > 0.0:
+        base = config.step_base
     else:
         base = 1.0 / (d * max(abs(obj0), 1e-12))
     g_y0, g_z0 = subgradient(y, zeta, first)
@@ -314,10 +309,7 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
                 if config.grad_clip > 0.0 and norm > cap:
                     g_y = g_y * (cap / norm)
                     g_z = g_z * (cap / norm)
-                if config.step_schedule.kind == "constant":
-                    gamma = base
-                else:
-                    gamma = base / (1.0 + k) ** config.step_schedule.exponent
+                gamma = base / (1.0 + k) ** _STEP_EXPONENT
                 y = np.maximum(y - gamma * g_y, floor)
                 zeta = zeta - gamma * g_z
                 k += 1
@@ -335,44 +327,35 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
         raise DivergenceError(f"non-finite objective at iteration {k}", iteration=k)
     trace[k] = (k, final_value)
     wall = time.perf_counter() - t0
-
-    y_avg = y_sum / n_avg
-    zeta_avg = zeta_sum / n_avg
-    raw = RawAllocation(y_avg / scale)
-    weights = normalize(raw)
-    report = _empirical_report(spec, budgets, weights, x)
-    return SolveReport(weights, raw, ZetaState(zeta_avg), report, trace,
-                       wall, total, config.seed, "sgd", iterate_trace=iterates)
+    return _finish("sgd", spec, budgets, config, scale, x, y_sum / n_avg,
+                   zeta_sum / n_avg, trace, wall, total, iterates)
 
 
 # ---------------------------------------------------------------------------
 # Barzilai-Borwein descents
 
-def _bb_descent(risk_part, budgets: Budgets, y: np.ndarray, config: SolverConfig,
-                max_iters: int, stop_on_objective: bool, fresh_risk=None):
-    """Shared BB loop. risk_part(y) gives the risk term and its gradient;
-    fresh_risk(k) swaps in a new sample each iteration. A run that ends at
-    max_iters without meeting the stop rule returns the iterate with the
-    lowest objective seen."""
+def _bb_descent(risk, budgets: Budgets, y: np.ndarray, config: SolverConfig,
+                max_iters: int, stop_on_objective: bool):
+    """Shared BB loop from y; risk(y) gives the risk term and its gradient and
+    is called once per iterate, in order. Returns the last iterate (the best
+    one seen if max_iters ends the run before the stop rule), the objective
+    trace, the iteration count and the iterates after the start."""
 
-    def grad(yy, rp):
-        f_risk, g_risk = rp(yy)
+    def grad(yy):
+        f_risk, g_risk = risk(yy)
         return g_risk - budgets.values / yy, f_risk
 
-    rp = risk_part if fresh_risk is None else fresh_risk(0)
-    g, f_risk = grad(y, rp)
+    g, f_risk = grad(y)
     f = f_risk - float(budgets.values @ np.log(y))
     if not np.isfinite(f):
         raise NumericError("non-finite objective at the starting point")
-    base_fb = config.step_schedule.base if config.step_schedule.base > 0.0 else None
+    base_fb = config.step_base if config.step_base > 0.0 else None
     gamma = base_fb or 1e-3 * (1.0 + float(np.linalg.norm(y))) / (1.0 + float(np.linalg.norm(g)))
 
     trace = [(0, f)]
-    tail: list[np.ndarray] = []
-    last_k = config.last_k or 1
+    iterates: list[np.ndarray] = []
     f_prev = f
     best_f, best_y = f, y
-    iterations = 0
     for k in range(1, max_iters + 1):
         y_new = y - gamma * g
         halvings = 0
@@ -382,8 +365,7 @@ def _bb_descent(risk_part, budgets: Budgets, y: np.ndarray, config: SolverConfig
             halvings += 1
             if halvings > 200:
                 raise NumericError("could not keep the allocation positive")
-        rp = risk_part if fresh_risk is None else fresh_risk(k)
-        g_new, f_risk = grad(y_new, rp)
+        g_new, f_risk = grad(y_new)
         f_new = f_risk - float(budgets.values @ np.log(y_new))
         if not np.isfinite(f_new) or abs(f_new) > DIVERGENCE_THRESHOLD:
             raise DivergenceError(f"objective {f_new!r} diverged at iteration {k}",
@@ -399,17 +381,14 @@ def _bb_descent(risk_part, budgets: Budgets, y: np.ndarray, config: SolverConfig
         if f_new < best_f:
             best_f, best_y = f_new, y
         trace.append((k, f_new))
-        iterations = k
-        if len(tail) == last_k:
-            tail.pop(0)
-        tail.append(y.copy())
+        iterates.append(y)
         # a rise is not convergence: stop only on a small decrease
         if stop_on_objective and 0.0 <= f_prev - f_new < config.stop_tol:
             break
         f_prev = f_new
     else:
         y = best_y
-    return y, np.array(trace, dtype=float), iterations, tail
+    return y, np.array(trace, dtype=float), len(iterates), iterates
 
 
 def osbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
@@ -422,23 +401,14 @@ def osbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     iterations; one that reaches max_iters first returns its best iterate.
     """
     x = sample.data
-    n, d = x.shape
-    _check_problem(budgets, d)
-    warn_if_nonpositive_risk(spec, lambda w: empirical_risk(spec, -(x @ w)), d)
-    scale = _standardization_constant(spec, -(x @ normalize(budgets.values).values))
+    scale, y = _start(spec, budgets, x, y0)
     xs = x / scale
-    y = _initial_allocation(budgets, y0)
-    max_iters = config.max_iters or 1000
     t0 = time.perf_counter()
-    y_fin, trace, iters, _ = _bb_descent(_sample_risk(spec, xs), budgets, y, config,
-                                         max_iters, stop_on_objective=True)
+    y, trace, iters, _ = _bb_descent(_sample_risk(spec, xs), budgets, y, config,
+                                     config.max_iters or 1000, stop_on_objective=True)
     wall = time.perf_counter() - t0
-    raw = RawAllocation(y_fin / scale)
-    weights = normalize(raw)
-    zeta = spec.init_zeta(-(xs @ y_fin))
-    report = _empirical_report(spec, budgets, weights, x)
-    return SolveReport(weights, raw, ZetaState(zeta), report, trace, wall,
-                       iters, config.seed, "osbgd")
+    return _finish("osbgd", spec, budgets, config, scale, x, y,
+                   spec.init_zeta(-(xs @ y)), trace, wall, iters)
 
 
 def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
@@ -454,8 +424,6 @@ def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     drawing each sample when it is needed. Pending draws are cancelled and
     the threads joined before the solve returns or raises.
     """
-    d = model.dim
-    _check_problem(budgets, d)
     iters_fixed = config.max_iters or 60
     keys = iter([*range(1, iters_fixed + 1), "audit"])
     ahead = deque()
@@ -477,29 +445,20 @@ def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
         for key in islice(keys, _PREFETCH_DRAWS):
             ahead.append(pool.submit(draw, key))
         x0 = draw(0)
-        warn_if_nonpositive_risk(spec, lambda w: empirical_risk(spec, -(x0 @ w)), d)
-        scale = _standardization_constant(spec, -(x0 @ normalize(budgets.values).values))
-        y = _initial_allocation(budgets, y0)
-
-        def fresh_risk(k):
-            # the descent asks for k = 0, 1, ..., iters_fixed in turn, once each
-            return _sample_risk(spec, (x0 if k == 0 else next_sample()) / scale)
-
-        cfg = config if config.last_k is not None else replace(config, last_k=5)
+        scale, y = _start(spec, budgets, x0, y0)
+        # the descent evaluates its start on x0, then iteration k on sample k
+        samples = chain([x0], (next_sample() for _ in range(iters_fixed)))
         t0 = time.perf_counter()
-        _, trace, iters, tail = _bb_descent(None, budgets, y, cfg, iters_fixed,
-                                            stop_on_objective=False, fresh_risk=fresh_risk)
+        _, trace, iters, ys = _bb_descent(
+            lambda yy: _sample_risk(spec, next(samples) / scale)(yy), budgets, y,
+            config, iters_fixed, stop_on_objective=False)
         wall = time.perf_counter() - t0
         audit_data = next_sample()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-    y_avg = np.mean(tail, axis=0)
-    raw = RawAllocation(y_avg / scale)
-    weights = normalize(raw)
-    zeta = spec.init_zeta(-((audit_data / scale) @ y_avg))
-    report = _empirical_report(spec, budgets, weights, audit_data)
-    return SolveReport(weights, raw, ZetaState(zeta), report, trace, wall,
-                       iters, config.seed, "msbgd")
+    y_avg = np.mean(ys[-config.last_k:], axis=0)
+    return _finish("msbgd", spec, budgets, config, scale, audit_data, y_avg,
+                   spec.init_zeta(-((audit_data / scale) @ y_avg)), trace, wall, iters)
 
 
 # ---------------------------------------------------------------------------

@@ -227,8 +227,7 @@ class TestTraceCommand:
     def test_cli_trace_divergence_exit_code(self, tmp_path, demo_model_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"solver": {
-            "step_schedule": {"kind": "constant", "base": 1e9},
-            "grad_clip": 0.0, "epochs": 2}}))
+            "step_base": 1e9, "grad_clip": 0.0, "epochs": 2}}))
         code = main(["trace", "--model", demo_model_path, "--config", str(cfg),
                      "--sample-size", "5000", "--out", str(tmp_path)])
         assert code == 2
@@ -253,6 +252,28 @@ class TestFitAndSampleCommands:
                      "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 0
         assert "asset 1: 0.1795" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc", [[1], {"solver": [1]}, {"solver": "fast"}])
+    def test_malformed_solver_entry_exits_1(self, tmp_path, demo_model_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        for command in ("reference", "trace"):
+            code = main([command, "--model", demo_model_path, "--config", str(cfg),
+                         "--out", str(tmp_path)])
+            assert code == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("step_schedule", {"kind": "constant", "base": 1e9}), ("kind", "constant"),
+        ("exponent", 0.75)])
+    def test_solve_rejects_removed_schedule_keys(self, tmp_path, demo_model_path,
+                                                 key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
+                                   "solver": {key: value, "epochs": 1}}))
+        code = main(["solve", "--method", "sgd", "--model", demo_model_path,
+                     "--sample-size", "2000", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == 1
 
     def test_fit_gmix(self, tmp_path, capsys):
         model = rb.load_model(rb.bundled_model_path("gmix3_stressed"))

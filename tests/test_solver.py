@@ -7,7 +7,7 @@ import pytest
 
 import riskbudget as rb
 from riskbudget import (Budgets, DivergenceError, ExpectedShortfall,
-                        ReturnSample, SolverConfig, StepSchedule, Volatility,
+                        ReturnSample, SolverConfig, Volatility,
                         es_tmix, l1_accuracy, msbgd_solve,
                         multistart_uniqueness_check, osbgd_solve,
                         reference_solve, sgd_solve)
@@ -73,8 +73,7 @@ class TestSgdSolve:
 
     def test_divergence_detected_with_iteration(self, tmix_demo):
         sample = rb.sample_tmix(tmix_demo, 10_000, seed=36)
-        cfg = SolverConfig(method="sgd", epochs=5, seed=37,
-                           step_schedule=StepSchedule(kind="constant", base=1e9),
+        cfg = SolverConfig(method="sgd", epochs=5, seed=37, step_base=1e9,
                            grad_clip=0.0)
         with pytest.raises(DivergenceError) as exc:
             sgd_solve(ExpectedShortfall(0.95), Budgets.equal(4), sample, cfg)
@@ -197,6 +196,53 @@ class TestMsbgdSolve:
         assert np.array_equal(a.weights.values, b.weights.values)
         assert np.array_equal(a.objective_trace, b.objective_trace)
 
+    @pytest.mark.parametrize("last_k", [1, 3, 7, 10])
+    def test_averages_exactly_last_k_iterates(self, tmix_demo, monkeypatch, last_k):
+        seen = {}
+        start, descent = solver_mod._start, solver_mod._bb_descent
+
+        def recording_start(*args):
+            seen["scale"], y = start(*args)
+            return seen["scale"], y
+
+        def recording_descent(*args, **kwargs):
+            out = descent(*args, **kwargs)
+            seen["ys"] = [y.copy() for y in out[3]]
+            return out
+
+        monkeypatch.setattr(solver_mod, "_start", recording_start)
+        monkeypatch.setattr(solver_mod, "_bb_descent", recording_descent)
+        cfg = SolverConfig(method="msbgd", max_iters=7, resample_size=3000, seed=54,
+                           last_k=last_k)
+        report = msbgd_solve(ExpectedShortfall(0.95), Budgets.equal(4), tmix_demo, cfg)
+        ys = seen["ys"]
+        assert len(ys) == report.iterations == 7
+        want = np.mean(ys[-last_k:], axis=0) / seen["scale"]
+        assert np.array_equal(report.raw.values, want)
+        if last_k < 7:
+            assert not np.allclose(report.raw.values,
+                                   np.mean(ys, axis=0) / seen["scale"], rtol=1e-12)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("step_schedule", {"kind": "constant", "base": 1e9}), ("kind", "constant"),
+        ("exponent", 0.75)])
+    def test_removed_schedule_keys_rejected(self, key, value):
+        with pytest.raises(rb.InputError):
+            solver_mod.config_from_dict({key: value})
+        with pytest.raises(rb.InputError):
+            solver_mod.config_from_dict({key: value}, base=SolverConfig(epochs=3))
+
+    @pytest.mark.parametrize("method", ["sgd", "osbgd"])
+    def test_sgd_and_osbgd_ignore_last_k(self, tmix_demo, method):
+        sample = rb.sample_tmix(tmix_demo, 5_000, seed=55)
+        base = SolverConfig(method=method, epochs=2, seed=56)
+        docs = [json.dumps(rb.solve(ExpectedShortfall(0.95), Budgets.equal(4), sample,
+                                    replace(base, last_k=k)).to_dict(include_timing=False))
+                for k in (1, 5, 40)]
+        assert docs[0] == docs[1] == docs[2]
+
 
 def _serial_msbgd(spec, budgets, model, config):
     """msbgd as it stood before the prefetch pool: each sample drawn on the
@@ -213,15 +259,12 @@ def _serial_msbgd(spec, budgets, model, config):
         spec, -(x0 @ rb.normalize(budgets.values).values))
     y = solver_mod._initial_allocation(budgets, None)
 
-    def fresh_risk(k):
-        return solver_mod._sample_risk(spec, (x0 if k == 0 else draw(k)) / scale)
-
     iters_fixed = config.max_iters or 60
-    cfg = config if config.last_k is not None else replace(config, last_k=5)
-    _, trace, iters, tail = solver_mod._bb_descent(
-        None, budgets, y, cfg, iters_fixed, stop_on_objective=False,
-        fresh_risk=fresh_risk)
-    y_avg = np.mean(tail, axis=0)
+    samples = (x0 if k == 0 else draw(k) for k in range(iters_fixed + 1))
+    _, trace, iters, ys = solver_mod._bb_descent(
+        lambda yy: solver_mod._sample_risk(spec, next(samples) / scale)(yy),
+        budgets, y, config, iters_fixed, stop_on_objective=False)
+    y_avg = np.mean(ys[-config.last_k:], axis=0)
     raw = rb.RawAllocation(y_avg / scale)
     weights = rb.normalize(raw)
     audit_data = draw("audit")
