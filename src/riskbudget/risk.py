@@ -409,10 +409,11 @@ def empirical_var_method7(losses, alpha: float) -> float:
     h = (n - 1) * alpha
     j = int(np.floor(h))
     g = h - j
-    lo = np.partition(x, j)[j]
+    part = np.partition(x, j)
+    lo = part[j]
     if g == 0.0 or j + 1 >= n:
         return float(lo)
-    hi = np.partition(x, j + 1)[j + 1]
+    hi = part[j + 1:].min()    # the partition puts every larger order statistic there
     return float(lo + g * (hi - lo))
 
 
@@ -433,14 +434,6 @@ def _es_tail(x: np.ndarray, alpha: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # shared pieces for the stochastic objectives
 
-def _losses(y, batch: np.ndarray) -> np.ndarray:
-    return -(batch @ _values_of(y))
-
-
-def _barrier(budgets: Budgets, y) -> float:
-    return float(-np.dot(budgets.values, np.log(_values_of(y))))
-
-
 @dataclass(frozen=True)
 class ZetaState:
     """Auxiliary threshold variables of the variational objectives.
@@ -460,6 +453,13 @@ class ZetaState:
 
 # ---------------------------------------------------------------------------
 # Rockafellar-Uryasev objective for the ES family
+#
+# SGD calls one objective and one subgradient of its measure per mini-batch,
+# so the six step functions are written for few NumPy calls with the float
+# operations of the plain form: the losses are -(batch @ y), the barrier is
+# minus the dot product of the budgets with log y, np.add.reduce(a) / m is
+# what a.mean() computes, and a tail's row sum equals the sum over the batch
+# of the rows times the tail mask (the rows outside add only +-0).
 
 def ru_objective(spec, budgets: Budgets, y, zeta, batch) -> float:
     """Batch value of the joint objective for beta*ES_alpha + delta*E.
@@ -467,27 +467,27 @@ def ru_objective(spec, budgets: Budgets, y, zeta, batch) -> float:
     mean over the batch of beta*(zeta + (loss - zeta)_+ / (1 - alpha))
     + delta * loss, minus the log-barrier sum_i b_i log y_i.
     """
-    alpha, beta, delta = spec.alpha, spec.beta, spec.delta
+    yv = _values_of(y)
     z = float(zeta[0])
-    losses = _losses(y, batch)
-    ru = z + np.maximum(losses - z, 0.0).mean() / (1.0 - alpha)
-    val = beta * ru + _barrier(budgets, y)
-    if delta != 0.0:
-        val += delta * losses.mean()
+    losses = -(batch @ yv)
+    m = losses.size
+    ru = z + np.add.reduce(np.maximum(losses - z, 0.0)) / m / (1.0 - spec.alpha)
+    val = spec.beta * ru - np.dot(budgets.values, np.log(yv))
+    if spec.delta != 0.0:
+        val += spec.delta * (np.add.reduce(losses) / m)
     return float(val)
 
 
 def ru_subgradient(spec, budgets: Budgets, y, zeta, batch):
     """Subgradient of ru_objective at (y, zeta); ties resolved by strict >."""
-    alpha, beta, delta = spec.alpha, spec.beta, spec.delta
+    beta, tail_share = spec.beta, 1.0 - spec.alpha
     yv = _values_of(y)
-    z = float(zeta[0])
-    losses = _losses(y, batch)
-    tail = losses > z
-    g_zeta = beta * (1.0 - tail.mean() / (1.0 - alpha))
-    g_y = -beta * (batch * tail[:, None]).mean(axis=0) / (1.0 - alpha) - budgets.values / yv
-    if delta != 0.0:
-        g_y = g_y - delta * batch.mean(axis=0)
+    tail = batch @ yv < -float(zeta[0])    # the losses -(batch @ y) above zeta
+    m = tail.size
+    g_zeta = beta * (1.0 - np.count_nonzero(tail) / m / tail_share)
+    g_y = -beta * (np.add.reduce(batch[tail], axis=0) / m) / tail_share - budgets.values / yv
+    if spec.delta != 0.0:
+        g_y = g_y - spec.delta * (np.add.reduce(batch, axis=0) / m)
     return g_y, np.array([g_zeta])
 
 
@@ -555,12 +555,14 @@ def spectral_objective(spec: Spectral, grid: SpectralGrid, budgets: Budgets,
     """
     if zeta.size != grid.n_nodes:
         raise InputError(f"threshold vector has {zeta.size} entries, grid has {grid.n_nodes}")
-    losses = _losses(y, batch)
-    hinge = np.maximum(losses[:, None] - zeta[None, :], 0.0).mean(axis=0)
+    yv = _values_of(y)
+    losses = -(batch @ yv)
+    m = losses.size
+    hinge = np.add.reduce(np.maximum(losses[:, None] - zeta, 0.0), axis=0) / m
     nodes = zeta + hinge / (1.0 - grid.levels)
-    val = float(np.dot(grid.coeff, nodes)) + _barrier(budgets, y)
+    val = float(np.dot(grid.coeff, nodes)) - float(np.dot(budgets.values, np.log(yv)))
     if spec.subtract_mean:
-        val -= losses.mean()
+        val -= np.add.reduce(losses) / m
     return val
 
 
@@ -570,13 +572,13 @@ def spectral_subgradient(spec: Spectral, grid: SpectralGrid, budgets: Budgets,
     if zeta.size != grid.n_nodes:
         raise InputError(f"threshold vector has {zeta.size} entries, grid has {grid.n_nodes}")
     yv = _values_of(y)
-    losses = _losses(y, batch)
-    tail = losses[:, None] > zeta[None, :]
-    g_zeta = grid.coeff * (1.0 - tail.mean(axis=0) / (1.0 - grid.levels))
+    tail = -(batch @ yv)[:, None] > zeta
+    m = len(tail)
+    g_zeta = grid.coeff * (1.0 - np.add.reduce(tail, axis=0) / m / (1.0 - grid.levels))
     node_w = grid.coeff / (1.0 - grid.levels)
-    g_y = -(batch.T @ tail) @ node_w / len(losses) - budgets.values / yv
+    g_y = -(batch.T @ tail) @ node_w / m - budgets.values / yv
     if spec.subtract_mean:
-        g_y = g_y + batch.mean(axis=0)
+        g_y = g_y + np.add.reduce(batch, axis=0) / m
     return g_y, g_zeta
 
 
@@ -593,33 +595,33 @@ def _hinge_power(losses, z, a, b, p) -> np.ndarray:
 
 def deviation_objective(spec, budgets: Budgets, y, zeta, batch) -> float:
     """mean(psi_{a,b}(loss - zeta)^p) [+ delta * mean loss] minus the barrier."""
-    a, b, p, delta = spec.a, spec.b, spec.p, spec.delta
-    z = float(zeta[0])
-    losses = _losses(y, batch)
-    val = _hinge_power(losses, z, a, b, p).mean() + _barrier(budgets, y)
-    if delta != 0.0:
-        val += delta * losses.mean()
+    yv = _values_of(y)
+    losses = -(batch @ yv)
+    m = losses.size
+    val = (np.add.reduce(_hinge_power(losses, float(zeta[0]), spec.a, spec.b, spec.p)) / m
+           - np.dot(budgets.values, np.log(yv)))
+    if spec.delta != 0.0:
+        val += spec.delta * (np.add.reduce(losses) / m)
     return float(val)
 
 
 def deviation_subgradient(spec, budgets: Budgets, y, zeta, batch):
     """Subgradient of deviation_objective; p = 1 uses strict-inequality hinges."""
-    a, b, p, delta = spec.a, spec.b, spec.p, spec.delta
+    a, b, p = spec.a, spec.b, spec.p
     yv = _values_of(y)
     z = float(zeta[0])
-    losses = _losses(y, batch)
+    losses = -(batch @ yv)
+    m = losses.size
     if p == 1.0:
-        w_pos = a * (losses > z).astype(float)
-        w_neg = b * (losses < z).astype(float)
+        w_pos = a * (losses > z)
+        w_neg = b * (losses < z)
     else:
-        pos = np.maximum(losses - z, 0.0)
-        neg = np.maximum(z - losses, 0.0)
-        w_pos = p * a ** p * pos ** (p - 1.0)
-        w_neg = p * b ** p * neg ** (p - 1.0)
-    g_zeta = float(np.mean(-w_pos + w_neg))
-    g_y = -(batch * (w_pos - w_neg)[:, None]).mean(axis=0) - budgets.values / yv
-    if delta != 0.0:
-        g_y = g_y - delta * batch.mean(axis=0)
+        w_pos = p * a ** p * np.maximum(losses - z, 0.0) ** (p - 1.0)
+        w_neg = p * b ** p * np.maximum(z - losses, 0.0) ** (p - 1.0)
+    g_zeta = float(np.add.reduce(w_neg - w_pos) / m)
+    g_y = -(np.add.reduce(batch * (w_pos - w_neg)[:, None], axis=0) / m) - budgets.values / yv
+    if spec.delta != 0.0:
+        g_y = g_y - spec.delta * (np.add.reduce(batch, axis=0) / m)
     return g_y, np.array([g_zeta])
 
 

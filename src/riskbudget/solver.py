@@ -20,6 +20,7 @@ normalized weights are invariant to this rescaling.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -71,12 +72,29 @@ class SolverConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise InputError("batch_size must be at least 1")
-        if not 0.0 < self.averaging_fraction <= 1.0:
+        for name in ("epochs", "batch_size", "last_k", "resample_size"):
+            if not _is_int(getattr(self, name), 1):
+                raise InputError(f"{name} must be an integer of at least 1")
+        if self.max_iters is not None and not _is_int(self.max_iters, 1):
+            raise InputError("max_iters must be null or an integer of at least 1")
+        if not _is_int(self.seed, 0):
+            raise InputError("seed must be a non-negative integer")
+        if not _is_finite(self.step_base):
+            raise InputError("step_base must be finite")
+        for name in ("grad_clip", "stop_tol"):
+            if not (_is_finite(getattr(self, name)) and getattr(self, name) >= 0.0):
+                raise InputError(f"{name} must be finite and non-negative")
+        if not (_is_finite(self.averaging_fraction) and 0.0 < self.averaging_fraction <= 1.0):
             raise InputError("averaging_fraction must lie in (0, 1]")
-        if self.last_k < 1:
-            raise InputError("last_k must be at least 1")
+
+
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def config_from_dict(doc: dict, base: SolverConfig | None = None) -> SolverConfig:
@@ -250,13 +268,10 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     """
     x = sample.data
     n, d = x.shape
-    if config.epochs < 1:
-        raise InputError("need at least one epoch")
     if n < config.batch_size:
         raise InputError(f"sample of {n} rows is smaller than one batch ({config.batch_size})")
     scale, y = _start(spec, budgets, x, y0)
     objective, subgradient = _step_pair(spec, budgets)
-    xs = x / scale
 
     floor = 1e-8 * y.mean()
     rng = np.random.default_rng(config.seed)
@@ -265,7 +280,7 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     avg_start = int(np.floor(total * (1.0 - config.averaging_fraction)))
 
     order = rng.permutation(n)
-    first = xs[order[:config.batch_size]]
+    first = x[order[:config.batch_size]] / scale
     zeta = spec.init_zeta(-(first @ y))
     obj0 = objective(y, zeta, first)
     if not np.isfinite(obj0):
@@ -275,7 +290,8 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     else:
         base = 1.0 / (d * max(abs(obj0), 1e-12))
     g_y0, g_z0 = subgradient(y, zeta, first)
-    cap = config.grad_clip * (1.0 + float(np.sqrt(g_y0 @ g_y0 + g_z0 @ g_z0)))
+    # grad_clip = 0 turns clipping off: the cap is then infinite
+    cap = config.grad_clip * (1.0 + float(np.sqrt(g_y0 @ g_y0 + g_z0 @ g_z0))) or math.inf
 
     trace = np.empty((total + 1, 2))
     iterates = None
@@ -284,6 +300,8 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
         iterates = np.empty((total + 1, 1 + d + n_zeta + d))
         iterates[0] = [0.0, *y, *zeta, *(y / y.sum())]
 
+    # y @ 0 is NaN exactly when y holds an inf or a NaN, and never overflows
+    zero_y, zero_zeta = np.zeros(d), np.zeros(n_zeta)
     y_sum = np.zeros(d)
     zeta_sum = np.zeros(n_zeta)
     n_avg = 0
@@ -295,25 +313,27 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
         if epoch > 0:
             order = rng.permutation(n)
         for chunk_start in range(0, n, chunk_rows):
-            # one gather per chunk of batches; each batch is a contiguous view
-            chunk = xs[order[chunk_start:chunk_start + chunk_rows]]
+            # one gather per chunk of batches, standardized in place (the
+            # division x / scale elementwise); each batch is a contiguous view
+            chunk = x[order[chunk_start:chunk_start + chunk_rows]]
+            chunk /= scale
             for start in range(0, len(chunk), bs):
                 batch = chunk[start:start + bs]
                 value = objective(y, zeta, batch)
-                if not math.isfinite(value) or abs(value) > DIVERGENCE_THRESHOLD:
+                if not abs(value) <= DIVERGENCE_THRESHOLD:
                     raise DivergenceError(
                         f"objective {value!r} diverged at iteration {k}", iteration=k)
                 trace[k] = (k, value)
                 g_y, g_z = subgradient(y, zeta, batch)
                 norm = math.sqrt(g_y @ g_y + g_z @ g_z)
-                if config.grad_clip > 0.0 and norm > cap:
+                if norm > cap:
                     g_y = g_y * (cap / norm)
                     g_z = g_z * (cap / norm)
                 gamma = base / (1.0 + k) ** _STEP_EXPONENT
                 y = np.maximum(y - gamma * g_y, floor)
                 zeta = zeta - gamma * g_z
                 k += 1
-                if not np.all(np.isfinite(y)) or not np.all(np.isfinite(zeta)):
+                if math.isnan(y @ zero_y + zeta @ zero_zeta):
                     raise DivergenceError(f"non-finite iterate at iteration {k - 1}",
                                           iteration=k - 1)
                 if k > avg_start:

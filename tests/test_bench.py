@@ -262,6 +262,19 @@ class TestFitAndSampleCommands:
                          "--out", str(tmp_path)])
             assert code == 1
 
+    @pytest.mark.parametrize("solver", [
+        {"batch_size": 2.5}, {"epochs": 1.5}, {"max_iters": -3}, {"max_iters": 0},
+        {"seed": -1}, {"step_base": float("nan")}])
+    def test_invalid_solver_values_exit_1(self, tmp_path, demo_model_path, solver):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
+                                   "solver": solver}))
+        for command in (["solve", "--method", "osbgd"], ["solve", "--method", "msbgd"],
+                        ["trace"]):
+            code = main(command + ["--model", demo_model_path, "--config", str(cfg),
+                                   "--sample-size", "2000", "--out", str(tmp_path)])
+            assert code == 1
+
     @pytest.mark.parametrize("key, value", [
         ("step_schedule", {"kind": "constant", "base": 1e9}), ("kind", "constant"),
         ("exponent", 0.75)])

@@ -170,6 +170,24 @@ class TestEmpiricalQuantile:
         with pytest.raises(ValueError):
             empirical_var_method7(np.array([]), 0.5)
 
+    def test_one_partition_matches_two(self):
+        # oracle: the upper neighbour taken from a second full partition
+        def two_partitions(x, alpha):
+            h = (x.size - 1) * alpha
+            j = int(np.floor(h))
+            g = h - j
+            lo = np.partition(x, j)[j]
+            if g == 0.0 or j + 1 >= x.size:
+                return float(lo)
+            hi = np.partition(x, j + 1)[j + 1]
+            return float(lo + g * (hi - lo))
+
+        rng = np.random.default_rng(32)
+        for n in (1, 2, 3, 7, 128, 3500, 100_000):
+            for x in (rng.standard_t(3, size=n), np.round(rng.normal(size=n), 1)):
+                for alpha in (0.0, 0.05, 0.5, 0.9, 0.95, 0.975, 0.99, 1.0):
+                    assert empirical_var_method7(x, alpha) == two_partitions(x, alpha)
+
 
 class TestEmpiricalEs:
     def test_brute_force_tail(self):
@@ -457,6 +475,143 @@ class TestDeviationObjective:
                 lambda yy, zz, s=spec: deviation_objective(s, B3, yy, zz, batch),
                 lambda yy, zz, s=spec: deviation_subgradient(s, B3, yy, zz, batch),
                 y, zeta)
+
+
+# The six step functions as they stood before they were written for few NumPy
+# calls. Kept as the oracle the step functions must reproduce bit for bit.
+
+def _oracle_losses(y, batch):
+    return -(batch @ y)
+
+
+def _oracle_barrier(budgets, y):
+    return float(-np.dot(budgets.values, np.log(y)))
+
+
+def _oracle_ru_objective(spec, budgets, y, zeta, batch):
+    alpha, beta, delta = spec.alpha, spec.beta, spec.delta
+    z = float(zeta[0])
+    losses = _oracle_losses(y, batch)
+    ru = z + np.maximum(losses - z, 0.0).mean() / (1.0 - alpha)
+    val = beta * ru + _oracle_barrier(budgets, y)
+    if delta != 0.0:
+        val += delta * losses.mean()
+    return float(val)
+
+
+def _oracle_ru_subgradient(spec, budgets, y, zeta, batch):
+    alpha, beta, delta = spec.alpha, spec.beta, spec.delta
+    z = float(zeta[0])
+    losses = _oracle_losses(y, batch)
+    tail = losses > z
+    g_zeta = beta * (1.0 - tail.mean() / (1.0 - alpha))
+    g_y = -beta * (batch * tail[:, None]).mean(axis=0) / (1.0 - alpha) - budgets.values / y
+    if delta != 0.0:
+        g_y = g_y - delta * batch.mean(axis=0)
+    return g_y, np.array([g_zeta])
+
+
+def _oracle_spectral_objective(spec, grid, budgets, y, zeta, batch):
+    losses = _oracle_losses(y, batch)
+    hinge = np.maximum(losses[:, None] - zeta[None, :], 0.0).mean(axis=0)
+    nodes = zeta + hinge / (1.0 - grid.levels)
+    val = float(np.dot(grid.coeff, nodes)) + _oracle_barrier(budgets, y)
+    if spec.subtract_mean:
+        val -= losses.mean()
+    return val
+
+
+def _oracle_spectral_subgradient(spec, grid, budgets, y, zeta, batch):
+    losses = _oracle_losses(y, batch)
+    tail = losses[:, None] > zeta[None, :]
+    g_zeta = grid.coeff * (1.0 - tail.mean(axis=0) / (1.0 - grid.levels))
+    node_w = grid.coeff / (1.0 - grid.levels)
+    g_y = -(batch.T @ tail) @ node_w / len(losses) - budgets.values / y
+    if spec.subtract_mean:
+        g_y = g_y + batch.mean(axis=0)
+    return g_y, g_zeta
+
+
+def _oracle_deviation_objective(spec, budgets, y, zeta, batch):
+    a, b, p, delta = spec.a, spec.b, spec.p, spec.delta
+    z = float(zeta[0])
+    losses = _oracle_losses(y, batch)
+    pos = np.maximum(losses - z, 0.0)
+    neg = np.maximum(z - losses, 0.0)
+    val = (a ** p * pos ** p + b ** p * neg ** p).mean() + _oracle_barrier(budgets, y)
+    if delta != 0.0:
+        val += delta * losses.mean()
+    return float(val)
+
+
+def _oracle_deviation_subgradient(spec, budgets, y, zeta, batch):
+    a, b, p, delta = spec.a, spec.b, spec.p, spec.delta
+    z = float(zeta[0])
+    losses = _oracle_losses(y, batch)
+    if p == 1.0:
+        w_pos = a * (losses > z).astype(float)
+        w_neg = b * (losses < z).astype(float)
+    else:
+        pos = np.maximum(losses - z, 0.0)
+        neg = np.maximum(z - losses, 0.0)
+        w_pos = p * a ** p * pos ** (p - 1.0)
+        w_neg = p * b ** p * neg ** (p - 1.0)
+    g_zeta = float(np.mean(-w_pos + w_neg))
+    g_y = -(batch * (w_pos - w_neg)[:, None]).mean(axis=0) - budgets.values / y
+    if delta != 0.0:
+        g_y = g_y - delta * batch.mean(axis=0)
+    return g_y, np.array([g_zeta])
+
+
+def _oracle_step_pair(spec, budgets):
+    if isinstance(spec, (ExpectedShortfall, ESMeanMixture)):
+        return (lambda *a: _oracle_ru_objective(spec, budgets, *a),
+                lambda *a: _oracle_ru_subgradient(spec, budgets, *a))
+    if isinstance(spec, Spectral):
+        grid = spectral_grid(spec)
+        return (lambda *a: _oracle_spectral_objective(spec, grid, budgets, *a),
+                lambda *a: _oracle_spectral_subgradient(spec, grid, budgets, *a))
+    return (lambda *a: _oracle_deviation_objective(spec, budgets, *a),
+            lambda *a: _oracle_deviation_subgradient(spec, budgets, *a))
+
+
+# the nine measures of tests/test_solver.py's Euler audit
+STEP_SPECS = [
+    Volatility(), ExpectedShortfall(0.9), ESMeanMixture(1.0, -1.0, 0.9),
+    Spectral(0.1, 8), Spectral(0.1, 8, subtract_mean=True),
+    Deviation(1.0, 1.0, 2.0), Deviation(2.0, 1.0, 1.0),
+    Deviation(2.0, 0.5, 1.5), DeviationPlusMean(1.0, 1.0, 1.0, delta=1.0)]
+
+
+class TestStepOracle:
+    @pytest.mark.parametrize("spec", STEP_SPECS, ids=rb.measure_label)
+    def test_steps_match_oracle_bits(self, spec):
+        rng = np.random.default_rng(rb.derive_seed("step-oracle", spec.label()))
+        n_zeta = spec.nodes if isinstance(spec, Spectral) else 1
+        for m in (1, 44, 128):
+            for case in range(40):
+                d = 3 if case % 2 else 10
+                budgets = Budgets(rng.dirichlet(np.ones(d)))
+                batch = 0.02 * rng.standard_t(4, size=(m, d))
+                if case % 4 == 3:
+                    batch = np.round(batch, 2)   # tied losses
+                y = rng.uniform(0.05, 1.0, size=d)
+                losses = -(batch @ y)
+                # each threshold on a loss point, below every loss (full
+                # tail), above every loss (empty tail) or anywhere between
+                picks = rng.integers(4, size=n_zeta)
+                zeta = np.where(picks == 0, losses[rng.integers(m, size=n_zeta)],
+                                np.where(picks == 1, losses.min() - 0.01,
+                                         np.where(picks == 2, losses.max() + 0.01,
+                                                  rng.uniform(losses.min(), losses.max(),
+                                                              size=n_zeta))))
+                got = [f(y, zeta, batch) for f in rb.solver._step_pair(spec, budgets)]
+                want = [f(y, zeta, batch) for f in _oracle_step_pair(spec, budgets)]
+                assert type(got[0]) is type(want[0])
+                assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+                for g, w in zip(got[1], want[1]):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
 
 
 class TestVolatility:

@@ -1,4 +1,5 @@
 import json
+import math
 import threading
 from dataclasses import replace
 
@@ -243,6 +244,25 @@ class TestSolverConfig:
                 for k in (1, 5, 40)]
         assert docs[0] == docs[1] == docs[2]
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", 1.5), ("epochs", True), ("batch_size", 2.5),
+        ("batch_size", 0), ("last_k", 0), ("resample_size", 0), ("resample_size", 1e5),
+        ("max_iters", 0), ("max_iters", -3), ("max_iters", 2.0), ("seed", -1),
+        ("seed", 1.0), ("step_base", float("nan")), ("step_base", float("inf")),
+        ("step_base", "0.1"), ("grad_clip", -1.0), ("grad_clip", float("inf")),
+        ("stop_tol", float("nan")), ("stop_tol", -1e-6), ("averaging_fraction", "0.2")])
+    def test_bad_value_rejected_at_construction(self, field, value):
+        with pytest.raises(rb.InputError, match=field):
+            SolverConfig(**{field: value})
+        with pytest.raises(rb.InputError, match=field):
+            solver_mod.config_from_dict({field: value})
+
+    def test_edge_values_accepted(self):
+        cfg = SolverConfig(epochs=1, batch_size=1, last_k=1, resample_size=1, max_iters=1,
+                           seed=np.int64(0), step_base=-1.0, grad_clip=0.0, stop_tol=0.0)
+        assert cfg.max_iters == 1
+        assert SolverConfig(max_iters=None, seed=2 ** 64 - 1).max_iters is None
+
 
 def _serial_msbgd(spec, budgets, model, config):
     """msbgd as it stood before the prefetch pool: each sample drawn on the
@@ -468,3 +488,127 @@ class TestMultistart:
         with pytest.raises(ValueError):
             multistart_uniqueness_check(Volatility(), Budgets.equal(3), gmix_calm,
                                         SolverConfig(method="reference"), starts=1)
+
+
+def _oracle_sgd_solve(spec, budgets, sample, config, y0=None):
+    """sgd_solve as it stood before its loop was trimmed: the whole sample
+    standardized up front, the clip switch read per step and np.isfinite
+    checks. It calls the same step functions, whose own oracle is in
+    tests/test_risk.py; together they pin SGD reports to the earlier bytes."""
+    x = sample.data
+    n, d = x.shape
+    if config.epochs < 1:
+        raise rb.InputError("need at least one epoch")
+    if n < config.batch_size:
+        raise rb.InputError(f"sample of {n} rows is smaller than one batch ({config.batch_size})")
+    scale, y = solver_mod._start(spec, budgets, x, y0)
+    objective, subgradient = solver_mod._step_pair(spec, budgets)
+    xs = x / scale
+
+    floor = 1e-8 * y.mean()
+    rng = np.random.default_rng(config.seed)
+    batches_per_epoch = int(np.ceil(n / config.batch_size))
+    total = config.epochs * batches_per_epoch
+    avg_start = int(np.floor(total * (1.0 - config.averaging_fraction)))
+
+    order = rng.permutation(n)
+    first = xs[order[:config.batch_size]]
+    zeta = spec.init_zeta(-(first @ y))
+    obj0 = objective(y, zeta, first)
+    if not np.isfinite(obj0):
+        raise rb.NumericError("non-finite objective at the starting point")
+    if config.step_base > 0.0:
+        base = config.step_base
+    else:
+        base = 1.0 / (d * max(abs(obj0), 1e-12))
+    g_y0, g_z0 = subgradient(y, zeta, first)
+    cap = config.grad_clip * (1.0 + float(np.sqrt(g_y0 @ g_y0 + g_z0 @ g_z0)))
+
+    trace = np.empty((total + 1, 2))
+    iterates = None
+    n_zeta = zeta.size
+    if config.record_iterates:
+        iterates = np.empty((total + 1, 1 + d + n_zeta + d))
+        iterates[0] = [0.0, *y, *zeta, *(y / y.sum())]
+
+    y_sum = np.zeros(d)
+    zeta_sum = np.zeros(n_zeta)
+    n_avg = 0
+    k = 0
+    bs = config.batch_size
+    chunk_rows = solver_mod._GATHER_BATCHES * bs
+    for epoch in range(config.epochs):
+        if epoch > 0:
+            order = rng.permutation(n)
+        for chunk_start in range(0, n, chunk_rows):
+            chunk = xs[order[chunk_start:chunk_start + chunk_rows]]
+            for start in range(0, len(chunk), bs):
+                batch = chunk[start:start + bs]
+                value = objective(y, zeta, batch)
+                if not math.isfinite(value) or abs(value) > solver_mod.DIVERGENCE_THRESHOLD:
+                    raise DivergenceError(
+                        f"objective {value!r} diverged at iteration {k}", iteration=k)
+                trace[k] = (k, value)
+                g_y, g_z = subgradient(y, zeta, batch)
+                norm = math.sqrt(g_y @ g_y + g_z @ g_z)
+                if config.grad_clip > 0.0 and norm > cap:
+                    g_y = g_y * (cap / norm)
+                    g_z = g_z * (cap / norm)
+                gamma = base / (1.0 + k) ** solver_mod._STEP_EXPONENT
+                y = np.maximum(y - gamma * g_y, floor)
+                zeta = zeta - gamma * g_z
+                k += 1
+                if not np.all(np.isfinite(y)) or not np.all(np.isfinite(zeta)):
+                    raise DivergenceError(f"non-finite iterate at iteration {k - 1}",
+                                          iteration=k - 1)
+                if k > avg_start:
+                    y_sum += y
+                    zeta_sum += zeta
+                    n_avg += 1
+                if iterates is not None:
+                    iterates[k] = [float(k), *y, *zeta, *(y / y.sum())]
+    final_value = objective(y, zeta, batch)
+    if not np.isfinite(final_value):
+        raise DivergenceError(f"non-finite objective at iteration {k}", iteration=k)
+    trace[k] = (k, final_value)
+    return solver_mod._finish("sgd", spec, budgets, config, scale, x, y_sum / n_avg,
+                              zeta_sum / n_avg, trace, 0.0, total, iterates)
+
+
+class TestSgdLoopOracle:
+    CONFIGS = [SolverConfig(epochs=2, seed=60),
+               SolverConfig(epochs=1, seed=61, record_iterates=True),
+               SolverConfig(epochs=1, seed=62, grad_clip=0.05),   # clips nearly every step
+               SolverConfig(epochs=1, seed=63, step_base=0.02),
+               SolverConfig(epochs=2, seed=64, batch_size=44, averaging_fraction=0.5)]
+
+    @pytest.mark.parametrize("spec", EULER_AUDIT_SPECS, ids=rb.measure_label)
+    # a ragged last batch of one row, and a sample smaller than one gather chunk
+    @pytest.mark.parametrize("n", [64 * 128 + 1, 1000])
+    def test_reports_match_oracle_bytes(self, spec, gmix_stressed, n):
+        sample = rb.sample_model(gmix_stressed, n, seed=65)
+        budgets = Budgets(np.array([0.5, 0.3, 0.2]))
+        for cfg in self.CONFIGS:
+            got = sgd_solve(spec, budgets, sample, cfg)
+            want = _oracle_sgd_solve(spec, budgets, sample, cfg)
+            assert (json.dumps(got.to_dict(include_timing=False))
+                    == json.dumps(want.to_dict(include_timing=False)))
+            if cfg.record_iterates:
+                assert got.iterate_trace.tobytes() == want.iterate_trace.tobytes()
+            else:
+                assert got.iterate_trace is None and want.iterate_trace is None
+
+    @pytest.mark.parametrize("spec", EULER_AUDIT_SPECS, ids=rb.measure_label)
+    # the objective diverges at iteration 2; the first iterate overflows
+    @pytest.mark.parametrize("step_base, y0", [(1e9, None), (1e308, np.full(3, 1e-3))])
+    def test_divergence_matches_oracle(self, spec, gmix_stressed, step_base, y0):
+        sample = rb.sample_model(gmix_stressed, 10_000, seed=66)
+        budgets = Budgets(np.array([0.5, 0.3, 0.2]))
+        cfg = SolverConfig(epochs=5, seed=37, step_base=step_base, grad_clip=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as got:
+                sgd_solve(spec, budgets, sample, cfg, y0=y0)
+            with pytest.raises(DivergenceError) as want:
+                _oracle_sgd_solve(spec, budgets, sample, cfg, y0=y0)
+        assert str(got.value) == str(want.value)
+        assert got.value.iteration == want.value.iteration
