@@ -19,8 +19,9 @@ from .core import Budgets, InputError, l1_accuracy
 from .models import (DGPSpec, EMConfig, derive_seed, em_fit_gmix,
                      em_fit_tmix, sample_model, sample_tmix, synth_dgp)
 from .risk import ExpectedShortfall, measure_label
-from .solver import (SolveReport, SolverConfig, config_from_dict, msbgd_solve,
-                     osbgd_solve, reference_solve, sgd_solve)
+from .solver import (SolveReport, SolverConfig, _is_finite, _is_int,
+                     config_from_dict, msbgd_solve, osbgd_solve, reference_solve,
+                     sgd_solve)
 
 MODEL_BASED_METHODS = ("sgd", "osbgd", "msbgd")
 SETTINGS = ("model_free", "true_params", "tmix_em", "gmix_em")
@@ -68,10 +69,16 @@ class ExperimentSpec:
     output_dir: str = "."
 
     def __post_init__(self):
-        if not self.dims:
-            raise InputError("dims must be non-empty")
-        if self.repetitions < 1:
-            raise InputError("repetitions must be at least 1")
+        if not (isinstance(self.dims, (tuple, list)) and self.dims
+                and all(_is_int(d, 2) for d in self.dims)):
+            raise InputError("dims must be a non-empty list of integers of at least 2")
+        for name in ("repetitions", "n_hist", "sim_size", "jobs"):
+            if not _is_int(getattr(self, name), 1):
+                raise InputError(f"{name} must be an integer of at least 1")
+        if not (_is_finite(self.alpha) and 0.0 < self.alpha < 1.0):
+            raise InputError("alpha must lie in (0, 1)")
+        if not isinstance(self.solver_overrides, dict):
+            raise InputError("solver_overrides must be an object")
         unknown = set(self.settings) - set(SETTINGS)
         if unknown:
             raise InputError(f"unknown settings {sorted(unknown)}; choose from {SETTINGS}")

@@ -62,10 +62,17 @@ def _solver_config(args, doc: dict | None = None) -> SolverConfig:
 
 
 def experiment_from_dict(doc: dict, args) -> ExperimentSpec:
+    if not isinstance(doc or {}, dict):
+        raise InputError("--config must be a JSON object")
     doc = dict(doc or {})
     if "dgp" in doc:
-        doc["dgp"] = DGPSpec(**{k: tuple(v) if isinstance(v, list) else v
-                                for k, v in doc["dgp"].items()})
+        if not isinstance(doc["dgp"], dict):
+            raise InputError('the "dgp" entry must be an object')
+        try:
+            doc["dgp"] = DGPSpec(**{k: tuple(v) if isinstance(v, list) else v
+                                    for k, v in doc["dgp"].items()})
+        except TypeError as exc:
+            raise InputError(f"bad dgp spec: {exc}") from exc
     for key in ("dims", "settings"):
         if key in doc and isinstance(doc[key], list):
             doc[key] = tuple(doc[key])

@@ -372,6 +372,8 @@ def _em_fit(x: np.ndarray, n_comp: int, config: EMConfig, nu_fixed=None):
     The per-observation log-likelihood trace is checked to be non-decreasing.
     """
     n, d = x.shape
+    if n_comp < 1:
+        raise InputError("need at least one mixture component")
     student = nu_fixed is not None
     if student:
         nu_fixed = np.asarray(nu_fixed, dtype=float)

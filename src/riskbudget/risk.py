@@ -36,9 +36,11 @@ class RiskPositivityWarning(UserWarning):
 # Every per-measure decision lives on the spec class: its label, its JSON
 # kind (the fields are the dataclass fields), the exponent `power` of the
 # homogenization g(x) = x**power in the solver objective, its initial
-# thresholds on a loss vector, its full-sample risk, and its full-sample
-# objective risk together with the gradient of that value with respect to the
-# loss vector.
+# thresholds on a loss vector, and its one full-sample evaluator: the
+# objective risk g(rho) (plus any linear mean term) together with the
+# gradient of that value with respect to the loss vector. The risk itself is
+# derived from that value as value ** (1 / power); only Spectral overrides it,
+# since its value needs a sort where its weights need an argsort.
 # ES is the Rockafellar-Uryasev form beta * ES_alpha + delta * E with
 # beta = 1, delta = 0; plain deviation and volatility are the hinge-power form
 # with delta = 0, volatility with a = b = 1, p = 2.
@@ -48,6 +50,9 @@ class _Measure:
     _json_defaults = {}        # measure_from_dict values for absent fields
     _probe_positivity = False  # can be non-positive on long-only portfolios
     power = 1.0
+
+    def risk(self, x: np.ndarray) -> float:
+        return self.objective_and_weights(x)[0] ** (1.0 / self.power)
 
 
 class _RUMeasure(_Measure):
@@ -61,12 +66,6 @@ class _RUMeasure(_Measure):
 
     def init_zeta(self, losses) -> np.ndarray:
         return np.array([empirical_var_method7(losses, self.alpha)])
-
-    def risk(self, x: np.ndarray) -> float:
-        val = self.beta * empirical_es(x, self.alpha)
-        if self.delta != 0.0:
-            val += self.delta * float(x.mean())
-        return val
 
     def objective_and_weights(self, x: np.ndarray):
         """The risk and its loss gradient: beta times the tail mask over its
@@ -97,13 +96,6 @@ class _HingeMeasure(_Measure):
 
     def init_zeta(self, losses) -> np.ndarray:
         return np.array([dev_inner_zeta(self, losses)])
-
-    def _hinge_mean(self, x: np.ndarray) -> float:
-        z = dev_inner_zeta(self, x)
-        return float(_hinge_power(x, z, self.a, self.b, self.p).mean())
-
-    def risk(self, x: np.ndarray) -> float:
-        return self._hinge_mean(x) ** (1.0 / self.p) + self.delta * float(x.mean())
 
     def objective_and_weights(self, x: np.ndarray):
         """Hinge-power mean (+ delta * mean) and its loss gradient
@@ -140,9 +132,6 @@ class Volatility(_HingeMeasure):
 
     def label(self) -> str:
         return "volatility"
-
-    def risk(self, x: np.ndarray) -> float:
-        return float(x.std())
 
     def objective_and_weights(self, x: np.ndarray):
         u = x - x.mean()
@@ -216,6 +205,7 @@ class Spectral(_Measure):
         return np.array([empirical_var_method7(losses, s) for s in spectral_grid(self).levels])
 
     def risk(self, x: np.ndarray) -> float:
+        # the derived value from a sort; objective_and_weights needs an argsort
         return self._value(x, *_sorted_with_tails(x))
 
     def _value(self, x, s, tail_sums) -> float:

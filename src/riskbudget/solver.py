@@ -48,6 +48,7 @@ DIVERGENCE_THRESHOLD = 1e12
 _STEP_EXPONENT = 0.6      # SGD step gamma_k = base / (1 + k)^0.6
 _GATHER_BATCHES = 64      # SGD mini-batches gathered from the sample at once
 _PREFETCH_DRAWS = 2       # msbgd resamples drawn ahead, one thread each
+_METHODS = ("sgd", "osbgd", "msbgd", "reference")
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,10 @@ class SolverConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
+        if self.method not in _METHODS:
+            raise InputError(f"method must be one of {', '.join(_METHODS)}")
+        if not isinstance(self.record_iterates, (bool, np.bool_)):
+            raise InputError("record_iterates must be a boolean")
         for name in ("epochs", "batch_size", "last_k", "resample_size"):
             if not _is_int(getattr(self, name), 1):
                 raise InputError(f"{name} must be an integer of at least 1")
@@ -202,20 +207,16 @@ def _empirical_report(spec, budgets, theta: Weights,
                       data: np.ndarray) -> RiskContributionReport:
     """Euler audit of solved weights against the sample evaluator.
 
-    The gradient of the empirical risk R is exact: R is the objective risk
-    value to the power 1 / spec.power for every accepted measure, so its
-    gradient is the objective's scaled by value ** (1 / power - 1) / power.
+    One evaluation of the objective risk at theta gives both numbers: the
+    empirical risk R is that value to the power 1 / spec.power for every
+    accepted measure (as spec.risk derives it), and its exact gradient is the
+    objective's scaled by value ** (1 / power - 1) / power.
     """
-    objective = _sample_risk(spec, data)
-
-    def risk_grad(t):
-        value, grad = objective(t)
-        if spec.power != 1.0:
-            grad = grad * (value ** (1.0 / spec.power - 1.0) / spec.power)
-        return grad
-
-    return euler_audit(theta, lambda t: empirical_risk(spec, -(data @ t)),
-                       risk_grad, budgets)
+    value, grad = _sample_risk(spec, data)(theta.values)
+    if spec.power != 1.0:
+        grad = grad * (value ** (1.0 / spec.power - 1.0) / spec.power)
+    return euler_audit(theta, lambda t: value ** (1.0 / spec.power),
+                       lambda t: grad, budgets)
 
 
 def _check_problem(budgets: Budgets, d: int) -> None:
@@ -493,8 +494,9 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     its closed-form gradient from the same quantile root solve; volatility
     uses the model covariance with its analytic gradient. L-BFGS-B runs until
     the projected gradient infinity norm falls below stop_tol; the objective
-    trace holds its value at the start and after each iteration, and the
-    Euler audit uses the same exact gradient.
+    trace holds its value at the start and after each iteration. The Euler
+    audit takes the risk and its exact gradient from one evaluation at the
+    solved weights.
     """
     d = model.dim
     _check_problem(budgets, d)
@@ -504,22 +506,15 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
         if not isinstance(model, StudentTMixture):
             raise SpecError("exact expected shortfall needs a Student-t mixture model")
 
-        def risk_fn(y):
-            return es_tmix(model, y, spec.alpha)
-
         def value_grad(y):
             return _es_tmix_value_grad(model, y, spec.alpha)
 
         def final_zeta(theta):
             return var_tmix(model, theta, spec.alpha)
 
-        warn_if_nonpositive_risk(spec, risk_fn, d)
+        warn_if_nonpositive_risk(spec, lambda y: es_tmix(model, y, spec.alpha), d)
     elif isinstance(spec, Volatility):
-        sigma = model.covariance()
-        value_grad = partial(volatility_value_and_gradient, sigma)
-
-        def risk_fn(y):
-            return value_grad(y)[0]
+        value_grad = partial(volatility_value_and_gradient, model.covariance())
 
         def final_zeta(theta):
             return float(-(model.mean() @ theta))
@@ -554,7 +549,8 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     raw = RawAllocation(res.x)
     weights = normalize(raw)
     theta = weights.values
-    audit = euler_audit(theta, risk_fn, lambda t: value_grad(t)[1], budgets)
+    total, grad = value_grad(theta)
+    audit = euler_audit(theta, lambda t: total, lambda t: grad, budgets)
     return SolveReport(weights, raw, ZetaState(final_zeta(theta)), audit,
                        np.array(trace, dtype=float), wall, int(res.nit),
                        config.seed, "reference")
@@ -593,9 +589,7 @@ def solve(spec: RiskMeasureSpec, budgets: Budgets, data, config: SolverConfig,
         return osbgd_solve(spec, budgets, _as_sample(data), config, y0=y0)
     if method == "msbgd":
         return msbgd_solve(spec, budgets, _as_model(data), config, y0=y0)
-    if method == "reference":
-        return reference_solve(spec, budgets, _as_model(data), config, y0=y0)
-    raise InputError(f"unknown method {method!r}")
+    return reference_solve(spec, budgets, _as_model(data), config, y0=y0)
 
 
 def _as_sample(data) -> ReturnSample:

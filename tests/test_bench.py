@@ -264,7 +264,8 @@ class TestFitAndSampleCommands:
 
     @pytest.mark.parametrize("solver", [
         {"batch_size": 2.5}, {"epochs": 1.5}, {"max_iters": -3}, {"max_iters": 0},
-        {"seed": -1}, {"step_base": float("nan")}])
+        {"seed": -1}, {"step_base": float("nan")}, {"method": "nope"},
+        {"record_iterates": "no"}])
     def test_invalid_solver_values_exit_1(self, tmp_path, demo_model_path, solver):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
@@ -274,6 +275,27 @@ class TestFitAndSampleCommands:
             code = main(command + ["--model", demo_model_path, "--config", str(cfg),
                                    "--sample-size", "2000", "--out", str(tmp_path)])
             assert code == 1
+
+    @pytest.mark.parametrize("command, doc", [
+        ("study", {"dgp": {"bogus": 1}}), ("study", {"dgp": [1, 2]}),
+        ("study", {"dims": "ab"}), ("study", [1, 2]), ("study", {"dims": [10, 1]}),
+        ("study", {"repetitions": 0}), ("study", {"n_hist": 2.5}),
+        ("study", {"sim_size": True}), ("study", {"jobs": 0}), ("study", {"alpha": "x"}),
+        ("study", {"alpha": 1.0}), ("study", {"solver_overrides": [1]}), ("fit", None)])
+    def test_malformed_study_or_fit_input_exits_1(self, tmp_path, demo_model_path,
+                                                  capsys, command, doc):
+        if command == "fit":
+            sample = rb.sample_model(rb.load_model(demo_model_path), 500, seed=3)
+            rb.save_sample(sample, tmp_path / "s.csv")
+            argv = ["fit", "--sample", str(tmp_path / "s.csv"), "--family", "gmix",
+                    "--components", "0"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv = ["study", "--config", str(cfg)]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("key, value", [
         ("step_schedule", {"kind": "constant", "base": 1e9}), ("kind", "constant"),

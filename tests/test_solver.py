@@ -14,7 +14,8 @@ from riskbudget import (Budgets, DivergenceError, ExpectedShortfall,
                         reference_solve, sgd_solve)
 from riskbudget import solver as solver_mod
 from riskbudget.models import StudentTMixture, derive_seed, sample_model
-from riskbudget.risk import (ZetaState, empirical_objective_risk,
+from riskbudget.risk import (ZetaState, _hinge_power, dev_inner_zeta,
+                             empirical_es, empirical_objective_risk,
                              empirical_risk, warn_if_nonpositive_risk)
 
 
@@ -250,7 +251,8 @@ class TestSolverConfig:
         ("max_iters", 0), ("max_iters", -3), ("max_iters", 2.0), ("seed", -1),
         ("seed", 1.0), ("step_base", float("nan")), ("step_base", float("inf")),
         ("step_base", "0.1"), ("grad_clip", -1.0), ("grad_clip", float("inf")),
-        ("stop_tol", float("nan")), ("stop_tol", -1e-6), ("averaging_fraction", "0.2")])
+        ("stop_tol", float("nan")), ("stop_tol", -1e-6), ("averaging_fraction", "0.2"),
+        ("method", "nope"), ("record_iterates", "no")])
     def test_bad_value_rejected_at_construction(self, field, value):
         with pytest.raises(rb.InputError, match=field):
             SolverConfig(**{field: value})
@@ -455,6 +457,94 @@ def test_osbgd_scale_invariant_and_permutation_equivariant(spec, gmix_stressed):
     perm = np.array([2, 0, 1])
     permuted = osbgd_solve(spec, Budgets(b[perm]), ReturnSample(sample.data[:, perm]), cfg)
     assert l1_accuracy(permuted.weights, base[perm]) <= 1e-6
+
+
+def _replaced_risk(spec, x):
+    """The per-class full-sample risk evaluators that spec.risk now derives
+    from the objective value, kept as oracles."""
+    if isinstance(spec, Volatility):
+        return float(x.std())
+    if isinstance(spec, (ExpectedShortfall, rb.ESMeanMixture)):
+        val = spec.beta * empirical_es(x, spec.alpha)
+    else:
+        z = dev_inner_zeta(spec, x)
+        hinge_mean = float(_hinge_power(x, z, spec.a, spec.b, spec.p).mean())
+        val = hinge_mean ** (1.0 / spec.p)
+    if spec.delta != 0.0:
+        val += spec.delta * float(x.mean())
+    return val
+
+
+class TestDerivedRisk:
+    @staticmethod
+    def _loss_samples(seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 3, 300, 3500):
+            x = rng.standard_t(df=5, size=n)
+            yield x
+            yield np.round(x, 1)    # tied losses
+
+    @pytest.mark.parametrize("spec", EULER_AUDIT_SPECS, ids=rb.measure_label)
+    def test_risk_is_objective_value_to_one_over_power(self, spec):
+        for losses in self._loss_samples(31):
+            value = empirical_objective_risk(spec, losses)[0]
+            assert empirical_risk(spec, losses) == value ** (1.0 / spec.power)
+
+    @pytest.mark.parametrize("spec", [s for s in EULER_AUDIT_SPECS
+                                      if not isinstance(s, rb.Spectral)],
+                             ids=rb.measure_label)
+    def test_matches_replaced_evaluators(self, spec):
+        # bit-equal, except that volatility's x.var() ** 0.5 may round one
+        # ulp away from x.std(), which takes a correctly rounded sqrt
+        for losses in self._loss_samples(32):
+            got, want = empirical_risk(spec, losses), _replaced_risk(spec, losses)
+            if isinstance(spec, Volatility):
+                assert abs(got - want) <= np.spacing(want)
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("nodes", [1, 8, 20])
+    @pytest.mark.parametrize("subtract_mean", [False, True])
+    def test_spectral_sort_only_risk_matches_derived(self, nodes, subtract_mean):
+        spec = rb.Spectral(0.1, nodes, subtract_mean=subtract_mean)
+        for losses in self._loss_samples(nodes):
+            assert spec.risk(losses) == spec.objective_and_weights(losses)[0] ** (1.0 / spec.power)
+
+
+class TestOneEvaluationPerAudit:
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = [0]
+        original = getattr(solver_mod, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("spec", EULER_AUDIT_SPECS, ids=rb.measure_label)
+    def test_empirical_report_evaluates_once(self, spec, gmix_stressed, monkeypatch):
+        data = rb.sample_model(gmix_stressed, 3000, seed=6).data
+        weights = rb.normalize(rb.RawAllocation(np.array([0.2, 0.3, 0.5])))
+        objective_calls = self._count(monkeypatch, "empirical_objective_risk")
+        risk_calls = self._count(monkeypatch, "empirical_risk")
+        report = solver_mod._empirical_report(spec, Budgets(np.array([0.5, 0.3, 0.2])),
+                                              weights, data)
+        assert (objective_calls[0], risk_calls[0]) == (1, 0)
+        total = report.total_risk
+        assert total == empirical_risk(spec, -(data @ weights.values))
+        assert abs(report.contributions.sum() - total) <= 1e-12 * abs(total)
+
+    def test_es_reference_audits_from_one_evaluation(self, tmix_demo, monkeypatch):
+        es_calls = self._count(monkeypatch, "es_tmix")
+        report = reference_solve(ExpectedShortfall(0.95), Budgets.equal(4), tmix_demo)
+        # d + 1 positivity probes and no audit call
+        assert es_calls[0] == tmix_demo.dim + 1
+        total = report.contributions.total_risk
+        assert total == es_tmix(tmix_demo, report.weights.values, 0.95)
+        assert abs(report.contributions.contributions.sum() - total) <= 1e-12 * total
 
 
 class TestRiskReduction:
