@@ -1,6 +1,10 @@
 """Experiment harness: reference portfolio printing, SGD trace capture, the
 model-free vs model-based accuracy study, and the risk-measure comparison.
 
+The accuracy study takes each setting's routes and row order from one table,
+SETTINGS, and runs its repetitions on a pool of `jobs` threads (one included);
+a failed solve or model estimate becomes an error note on its cells.
+
 All tabular artifacts are CSV with a header row; floats are written with
 full round-trip precision so a parsed file reproduces the in-memory rows
 exactly. Wall-time columns can be dropped for byte-identical reruns.
@@ -15,16 +19,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Budgets, InputError, l1_accuracy
+from .core import Budgets, InputError, _is_finite, _is_int, l1_accuracy
 from .models import (DGPSpec, EMConfig, derive_seed, em_fit_gmix,
                      em_fit_tmix, sample_model, sample_tmix, synth_dgp)
 from .risk import ExpectedShortfall, measure_label
-from .solver import (SolveReport, SolverConfig, _is_finite, _is_int,
-                     config_from_dict, msbgd_solve, osbgd_solve, reference_solve,
-                     sgd_solve)
+from .solver import (SolveReport, SolverConfig, config_from_dict, msbgd_solve,
+                     osbgd_solve, reference_solve, sgd_solve)
 
 MODEL_BASED_METHODS = ("sgd", "osbgd", "msbgd")
-SETTINGS = ("model_free", "true_params", "tmix_em", "gmix_em")
+# each setting of the accuracy study and the routes it runs, in table order
+SETTINGS = {"model_free": ("sgd", "osbgd"), "true_params": MODEL_BASED_METHODS,
+            "tmix_em": MODEL_BASED_METHODS, "gmix_em": MODEL_BASED_METHODS}
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,8 @@ class ExperimentSpec:
 
     settings picks which pipelines run: "model_free" solves on the synthetic
     historical sample directly, the other three estimate (or copy) a model
-    first and solve on simulated data.
+    first and solve on simulated data. solver_overrides maps a key of the
+    route defaults to an object of SolverConfig fields replacing theirs.
     """
 
     dims: tuple[int, ...] = (10,)
@@ -70,43 +76,54 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if not (isinstance(self.dims, (tuple, list)) and self.dims
-                and all(_is_int(d, 2) for d in self.dims)):
-            raise InputError("dims must be a non-empty list of integers of at least 2")
+                and all(_is_int(d, 2) for d in self.dims)
+                and len(set(self.dims)) == len(self.dims)):
+            raise InputError("dims must be a non-empty list of distinct integers "
+                             "of at least 2")
         for name in ("repetitions", "n_hist", "sim_size", "jobs"):
             if not _is_int(getattr(self, name), 1):
                 raise InputError(f"{name} must be an integer of at least 1")
         if not (_is_finite(self.alpha) and 0.0 < self.alpha < 1.0):
             raise InputError("alpha must lie in (0, 1)")
+        if not (isinstance(self.settings, (tuple, list)) and self.settings
+                and all(isinstance(s, str) and s in SETTINGS for s in self.settings)
+                and len(set(self.settings)) == len(self.settings)):
+            raise InputError("settings must be a non-empty list of distinct names "
+                             f"from {tuple(SETTINGS)}")
+        if not isinstance(self.dgp, DGPSpec):
+            raise InputError("dgp must be a DGPSpec")
+        if not _is_int(self.master_seed, 0):
+            raise InputError("master_seed must be a non-negative integer")
+        if not isinstance(self.output_dir, str):
+            raise InputError("output_dir must be a string")
         if not isinstance(self.solver_overrides, dict):
             raise InputError("solver_overrides must be an object")
-        unknown = set(self.settings) - set(SETTINGS)
-        if unknown:
-            raise InputError(f"unknown settings {sorted(unknown)}; choose from {SETTINGS}")
+        _study_configs(self)
 
 
 def _study_configs(spec: ExperimentSpec) -> dict[str, SolverConfig]:
-    """Per-method defaults mirroring the benchmark protocol; overridable."""
+    """Per-route defaults mirroring the benchmark protocol, each overridable by
+    an object of SolverConfig fields under its key in spec.solver_overrides."""
     defaults = {
-        "model_free_sgd": SolverConfig(method="sgd", batch_size=128, epochs=100),
-        "sgd": SolverConfig(method="sgd", batch_size=128, epochs=4),
-        "osbgd": SolverConfig(method="osbgd", stop_tol=1e-6, max_iters=1000),
-        "msbgd": SolverConfig(method="msbgd", max_iters=60, resample_size=100_000),
-        "reference": SolverConfig(method="reference", stop_tol=1e-6),
+        "model_free_sgd": SolverConfig(batch_size=128, epochs=100),
+        "sgd": SolverConfig(batch_size=128, epochs=4),
+        "osbgd": SolverConfig(stop_tol=1e-6, max_iters=1000),
+        "msbgd": SolverConfig(max_iters=60, resample_size=100_000),
+        "reference": SolverConfig(stop_tol=1e-6),
     }
     for key, override in spec.solver_overrides.items():
-        if key not in defaults:
-            raise InputError(f"unknown solver override {key!r}")
-        if isinstance(override, dict):
-            defaults[key] = config_from_dict(override, base=defaults[key])
-        else:
-            defaults[key] = override
+        if key not in defaults or not isinstance(override, dict):
+            raise InputError(f"solver override {key!r} must be an object under "
+                             f"one of the keys {tuple(defaults)}")
+        defaults[key] = config_from_dict(override, base=defaults[key])
     return defaults
 
 
 def _one_repetition(spec: ExperimentSpec, d: int, rep: int) -> list[tuple]:
-    """Run every configured setting for one (dimension, repetition) cell.
+    """Run every configured setting for one (dimension, repetition).
 
-    Returns tuples (d, setting, method, accuracy, wall_time, error_message).
+    Returns (accuracy, wall_time, error_message) per (setting, method) cell,
+    in the order of spec.settings and of each setting's SETTINGS methods.
     """
     configs = _study_configs(spec)
     rep_seed = derive_seed(spec.master_seed, d, rep)
@@ -118,84 +135,64 @@ def _one_repetition(spec: ExperimentSpec, d: int, rep: int) -> list[tuple]:
     theta_ref = reference.weights
     hist = sample_tmix(model_true, spec.n_hist, derive_seed(rep_seed, "hist"))
 
-    out: list[tuple] = []
-
-    def record(setting, method, fn):
-        try:
-            report = fn()
-            out.append((d, setting, method,
-                        l1_accuracy(report.weights, theta_ref),
-                        report.wall_time, ""))
-        except Exception as exc:  # noqa: BLE001 - failures become table rows
-            out.append((d, setting, method, np.nan, np.nan,
-                        f"{type(exc).__name__}: {exc}"))
-
+    cells: list[tuple] = []
     for setting in spec.settings:
+        methods = SETTINGS[setting]
         if setting == "model_free":
-            cfg = replace(configs["model_free_sgd"],
-                          seed=derive_seed(rep_seed, "mf", "sgd"))
-            record(setting, "sgd", lambda c=cfg: sgd_solve(measure, budgets, hist, c))
-            cfg = replace(configs["osbgd"], seed=derive_seed(rep_seed, "mf", "osbgd"))
-            record(setting, "osbgd", lambda c=cfg: osbgd_solve(measure, budgets, hist, c))
-            continue
-        try:
-            if setting == "true_params":
-                model_est = model_true
-            elif setting == "tmix_em":
-                model_est = em_fit_tmix(hist, 2, np.asarray(spec.dgp.dof),
+            tag, model, sample = "mf", None, hist
+        else:
+            try:
+                if setting == "true_params":
+                    model = model_true
+                elif setting == "tmix_em":
+                    model = em_fit_tmix(hist, 2, np.asarray(spec.dgp.dof),
                                         EMConfig(seed=derive_seed(rep_seed, "em_t")))
-            else:
-                model_est = em_fit_gmix(hist, 2,
+                else:
+                    model = em_fit_gmix(hist, 2,
                                         EMConfig(seed=derive_seed(rep_seed, "em_g")))
-        except Exception as exc:  # noqa: BLE001
-            for method in MODEL_BASED_METHODS:
-                out.append((d, setting, method, np.nan, np.nan,
-                            f"{type(exc).__name__}: {exc}"))
-            continue
-        sim = sample_model(model_est, spec.sim_size, derive_seed(rep_seed, setting, "sim"))
-        cfg = replace(configs["sgd"], seed=derive_seed(rep_seed, setting, "sgd"))
-        record(setting, "sgd", lambda c=cfg, s=sim: sgd_solve(measure, budgets, s, c))
-        cfg = replace(configs["osbgd"], seed=derive_seed(rep_seed, setting, "osbgd"))
-        record(setting, "osbgd", lambda c=cfg, s=sim: osbgd_solve(measure, budgets, s, c))
-        cfg = replace(configs["msbgd"], seed=derive_seed(rep_seed, setting, "msbgd"))
-        record(setting, "msbgd", lambda c=cfg, m=model_est: msbgd_solve(measure, budgets, m, c))
-    return out
+            except Exception as exc:  # noqa: BLE001 - failures become table rows
+                cells += [(np.nan, np.nan, f"{type(exc).__name__}: {exc}")] * len(methods)
+                continue
+            tag = setting
+            sample = sample_model(model, spec.sim_size, derive_seed(rep_seed, setting, "sim"))
+        # looked up per call, so wrappers set on this module's names apply
+        routes = {"sgd": (sgd_solve, sample), "osbgd": (osbgd_solve, sample),
+                  "msbgd": (msbgd_solve, model)}
+        for method in methods:
+            key = "model_free_sgd" if (tag, method) == ("mf", "sgd") else method
+            cfg = replace(configs[key], seed=derive_seed(rep_seed, tag, method))
+            route, data = routes[method]
+            try:
+                report = route(measure, budgets, data, cfg)
+                cells.append((l1_accuracy(report.weights, theta_ref), report.wall_time, ""))
+            except Exception as exc:  # noqa: BLE001
+                cells.append((np.nan, np.nan, f"{type(exc).__name__}: {exc}"))
+    return cells
 
 
 def run_accuracy_study(spec: ExperimentSpec) -> list[BenchRow]:
     """Model-free vs model-based accuracy/time study aggregated over repetitions."""
-    cells = [(d, r) for d in spec.dims for r in range(spec.repetitions)]
-    if spec.jobs > 1:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            chunks = list(pool.map(lambda dr: _one_repetition(spec, *dr), cells))
-    else:
-        chunks = [_one_repetition(spec, d, r) for d, r in cells]
-
-    collected: dict[tuple, list[tuple]] = {}
-    for chunk in chunks:
-        for d, setting, method, acc, wall, err in chunk:
-            collected.setdefault((d, setting, method), []).append((acc, wall, err))
-
+    with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
+        reps = list(pool.map(lambda dr: _one_repetition(spec, *dr),
+                             [(d, r) for d in spec.dims for r in range(spec.repetitions)]))
+    table = [(s, m) for s in spec.settings for m in SETTINGS[s]]
     rows = []
-    for d in spec.dims:
-        for setting in spec.settings:
-            methods = ("sgd", "osbgd") if setting == "model_free" else MODEL_BASED_METHODS
-            for method in methods:
-                entries = collected.get((d, setting, method), [])
-                accs = np.array([a for a, _, e in entries if not e])
-                times = np.array([t for _, t, e in entries if not e])
-                failures = [e for _, _, e in entries if e]
-                note = ""
-                if failures:
-                    note = f"{len(failures)}/{len(entries)} failed: {failures[0]}"
-                rows.append(BenchRow(
-                    d=d, method=method, setting=setting,
-                    acc_mean=float(accs.mean()) if accs.size else np.nan,
-                    acc_std=float(accs.std()) if accs.size else np.nan,
-                    time_mean=float(times.mean()) if times.size else np.nan,
-                    time_std=float(times.std()) if times.size else np.nan,
-                    errors=note))
+    for i, d in enumerate(spec.dims):
+        by_cell = zip(*reps[i * spec.repetitions:(i + 1) * spec.repetitions])
+        for (setting, method), entries in zip(table, by_cell):
+            acc_mean, acc_std = _mean_std([a for a, _, e in entries if not e])
+            time_mean, time_std = _mean_std([t for _, t, e in entries if not e])
+            failures = [e for *_, e in entries if e]
+            note = f"{len(failures)}/{len(entries)} failed: {failures[0]}" if failures else ""
+            rows.append(BenchRow(d, method, setting, acc_mean, acc_std,
+                                 time_mean, time_std, note))
     return rows
+
+
+def _mean_std(values: list) -> tuple[float, float]:
+    if not values:
+        return np.nan, np.nan
+    return float(np.mean(values)), float(np.std(values))
 
 
 BENCH_COLUMNS = ("d", "method", "setting", "acc_mean", "acc_std",

@@ -147,8 +147,8 @@ def _cmd_trace(args) -> int:
 def _cmd_study(args) -> int:
     doc = _load_json(args.config) if args.config else {}
     spec = experiment_from_dict(doc, args)
-    rows = run_accuracy_study(spec)
     os.makedirs(spec.output_dir, exist_ok=True)
+    rows = run_accuracy_study(spec)
     write_bench_csv(rows, os.path.join(spec.output_dir, "study.csv"),
                     include_timing=not args.no_timing)
     print(format_bench_table(rows))

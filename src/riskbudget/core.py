@@ -3,6 +3,8 @@ Euler risk-decomposition audit shared by all solvers."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,15 @@ class DivergenceError(NumericError):
     def __init__(self, message: str, iteration: int | None = None):
         super().__init__(message)
         self.iteration = iteration
+
+
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _positive_vector(x, what: str) -> np.ndarray:

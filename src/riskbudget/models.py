@@ -14,7 +14,7 @@ from scipy import stats
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from .core import InputError, NumericError, _values_of
+from .core import InputError, NumericError, _is_finite, _values_of
 
 PROB_ATOL = 1e-12
 SYM_ATOL = 1e-12
@@ -465,6 +465,32 @@ class DGPSpec:
     vol_jitter: tuple[float, float] = (0.7, 1.3)
     stressed_vol_mult: float = 2.0
     dof: tuple[float, float] = (4.0, 2.5)
+
+    def __post_init__(self):
+        for name in ("loc_scale", "var_scale", "avg_corr", "stressed_vol_mult"):
+            if not _is_finite(getattr(self, name)):
+                raise InputError(f"dgp {name} must be a finite number")
+        for name in ("weight_range", "calm_loc_range", "stressed_loc_range",
+                     "vol_jitter", "dof"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(map(_is_finite, pair))):
+                raise InputError(f"dgp {name} must be two finite numbers")
+        (w_lo, w_hi), (j_lo, j_hi) = self.weight_range, self.vol_jitter
+        for ok, rule in (
+                (self.loc_scale > 0, "loc_scale must be > 0"),
+                (self.var_scale > 0, "var_scale must be > 0"),
+                (self.stressed_vol_mult > 0, "stressed_vol_mult must be > 0"),
+                (0 <= self.avg_corr < 1, "avg_corr must lie in [0, 1)"),
+                (0 < w_lo <= w_hi < 1, "weight_range must be low <= high inside (0, 1)"),
+                (0 < j_lo <= j_hi, "vol_jitter must be 0 < low <= high"),
+                (self.calm_loc_range[0] <= self.calm_loc_range[1],
+                 "calm_loc_range must be low <= high"),
+                (self.stressed_loc_range[0] <= self.stressed_loc_range[1],
+                 "stressed_loc_range must be low <= high"),
+                (min(self.dof) > 1, "dof must exceed 1")):
+            if not ok:
+                raise InputError(f"dgp {rule}")
 
 
 def synth_dgp(d: int, seed: int, spec: DGPSpec = DGPSpec()) -> StudentTMixture:

@@ -20,7 +20,6 @@ normalized weights are invariant to this rescaling.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -32,8 +31,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .core import (Budgets, DivergenceError, InputError, NumericError,
-                   RawAllocation, RiskContributionReport, Weights, euler_audit,
-                   l1_accuracy, normalize)
+                   RawAllocation, RiskContributionReport, Weights, _is_finite,
+                   _is_int, euler_audit, l1_accuracy, normalize)
 from .models import (GaussianMixture, ReturnSample, StudentTMixture,
                      derive_seed, sample_model)
 from .risk import (ESMeanMixture, ExpectedShortfall, RiskMeasureSpec, Spectral,
@@ -91,15 +90,6 @@ class SolverConfig:
                 raise InputError(f"{name} must be finite and non-negative")
         if not (_is_finite(self.averaging_fraction) and 0.0 < self.averaging_fraction <= 1.0):
             raise InputError("averaging_fraction must lie in (0, 1]")
-
-
-def _is_int(value, least: int) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
-
-
-def _is_finite(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def config_from_dict(doc: dict, base: SolverConfig | None = None) -> SolverConfig:

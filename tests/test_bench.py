@@ -177,6 +177,41 @@ class TestAccuracyStudy:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_estimate_failures_fill_their_setting_in_table_order(self):
+        # 7 rows are fewer than one SGD batch and too few for a stable EM fit
+        spec = ExperimentSpec(
+            dims=(3,), repetitions=2, n_hist=7, sim_size=8_000,
+            settings=("model_free", "tmix_em", "gmix_em"),
+            solver_overrides={
+                "model_free_sgd": {"epochs": 2}, "sgd": {"epochs": 1},
+                "osbgd": {"max_iters": 30},
+                "msbgd": {"max_iters": 5, "resample_size": 4_000},
+            },
+            master_seed=5)
+        rows = run_accuracy_study(spec)
+        assert [(r.setting, r.method) for r in rows] == [
+            ("model_free", "sgd"), ("model_free", "osbgd"),
+            *[(s, m) for s in ("tmix_em", "gmix_em") for m in ("sgd", "osbgd", "msbgd")]]
+        assert rows[0].errors.startswith("2/2 failed: InputError")
+        assert rows[1].errors == "" and np.isfinite(rows[1].acc_mean)
+        tmix, gmix = rows[2:5], rows[5:]
+        assert tmix[0].errors.startswith("2/2 failed: FitError")
+        assert gmix[0].errors.startswith("1/2 failed: FitError")
+        for cells in (tmix, gmix):
+            assert {r.errors for r in cells} == {cells[0].errors}
+        assert all(np.isnan(r.acc_mean) for r in tmix)
+        assert all(np.isfinite(r.acc_mean) and r.acc_std == 0.0 for r in gmix)
+
+    def test_cli_checks_output_dir_before_running(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        calls = []
+        monkeypatch.setattr("riskbudget.cli.run_accuracy_study",
+                            lambda spec: calls.append(spec) or [])
+        assert main(["study", "--out", str(blocker / "out")]) == 1
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestMeasureComparison:
     def test_identical_specs_identical_rows(self, gmix_calm):
@@ -281,7 +316,13 @@ class TestFitAndSampleCommands:
         ("study", {"dims": "ab"}), ("study", [1, 2]), ("study", {"dims": [10, 1]}),
         ("study", {"repetitions": 0}), ("study", {"n_hist": 2.5}),
         ("study", {"sim_size": True}), ("study", {"jobs": 0}), ("study", {"alpha": "x"}),
-        ("study", {"alpha": 1.0}), ("study", {"solver_overrides": [1]}), ("fit", None)])
+        ("study", {"alpha": 1.0}), ("study", {"solver_overrides": [1]}), ("fit", None),
+        ("study", {"dgp": {"avg_corr": "x"}}), ("study", {"dgp": {"avg_corr": 1.5}}),
+        ("study", {"dgp": {"var_scale": -1e-4}}), ("study", {"dgp": {"weight_range": [0.6]}}),
+        ("study", {"settings": "model_free"}), ("study", {"settings": []}),
+        ("study", {"solver_overrides": {"osbgd": 5}}), ("study", {"output_dir": 5}),
+        ("study", {"master_seed": 1.0}), ("study", {"settings": ["model_free", "model_free"]}),
+        ("study", {"dims": [3, 3]})])
     def test_malformed_study_or_fit_input_exits_1(self, tmp_path, demo_model_path,
                                                   capsys, command, doc):
         if command == "fit":
