@@ -115,7 +115,10 @@ def _study_configs(spec: ExperimentSpec) -> dict[str, SolverConfig]:
         if key not in defaults or not isinstance(override, dict):
             raise InputError(f"solver override {key!r} must be an object under "
                              f"one of the keys {tuple(defaults)}")
-        defaults[key] = config_from_dict(override, base=defaults[key])
+        try:
+            defaults[key] = config_from_dict(override, base=defaults[key])
+        except InputError as exc:
+            raise InputError(f"solver override {key!r}: {exc}") from exc
     return defaults
 
 

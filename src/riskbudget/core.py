@@ -179,8 +179,7 @@ def l1_accuracy(theta_a, theta_b) -> float:
     return float(100.0 * np.abs(a - b).sum())
 
 
-def euler_audit(theta, risk_fn, grad_fn, budgets: Budgets,
-                check_tol: float | None = None) -> RiskContributionReport:
+def euler_audit(theta, risk_fn, grad_fn, budgets: Budgets) -> RiskContributionReport:
     """Audit a solved portfolio against its risk budgets.
 
     Parameters
@@ -193,9 +192,6 @@ def euler_audit(theta, risk_fn, grad_fn, budgets: Budgets,
         Maps a weight vector to the gradient of R, consistent with risk_fn.
     budgets : Budgets
         Target risk shares.
-    check_tol : float, optional
-        When given, require |sum(contributions) - R| <= check_tol (the
-        tolerance of the gradient method used by the caller).
     """
     t = _values_of(theta)
     total = float(risk_fn(t))
@@ -203,10 +199,5 @@ def euler_audit(theta, risk_fn, grad_fn, budgets: Budgets,
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient in Euler audit")
     contributions = t * grad
-    if check_tol is not None and abs(contributions.sum() - total) > check_tol:
-        raise NumericError(
-            f"Euler decomposition residual {contributions.sum() - total!r} "
-            f"exceeds declared tolerance {check_tol!r}"
-        )
     errors = contributions - budgets.values * total
     return RiskContributionReport(contributions, total, errors)

@@ -183,11 +183,12 @@ def _sample_mixture(weights, locations, chols, dof, n: int, seed: int) -> Return
 
     The random numbers come first, one generator call each: the components,
     an n x d standard normal z and, for Student-t, V ~ chi2(nu) per row. The
-    rows are then transformed in blocks of _SAMPLE_BLOCK_ROWS into the output:
+    rows are then transformed in place over z, in blocks of _SAMPLE_BLOCK_ROWS:
     per block and component, one matmul of the whole block into a buffer, the
     Student scale and the location in place, and a copy of that component's
-    rows. Each row sees the same arithmetic as when its component's rows are
-    transformed alone, so the bytes do not depend on the block size.
+    rows over their normals. An output row needs only its own normal row, and
+    it sees the same arithmetic as when its component's rows are transformed
+    alone, so the bytes do not depend on the block size.
     """
     if n < 1:
         raise InputError("sample size must be at least 1")
@@ -198,7 +199,6 @@ def _sample_mixture(weights, locations, chols, dof, n: int, seed: int) -> Return
     if dof is not None:
         nu = dof[comp]
         t_scale = np.sqrt(nu / rng.chisquare(nu))
-    x = np.empty((n, d))
     buf = np.empty((_SAMPLE_BLOCK_ROWS + 1, d))
     start = 0
     while start < n:
@@ -217,9 +217,9 @@ def _sample_mixture(weights, locations, chols, dof, n: int, seed: int) -> Return
             if dof is not None:
                 out *= t_scale[rows, None]
             out += locations[k]
-            np.copyto(x[rows], out, where=mask[:, None])
+            np.copyto(z[rows], out, where=mask[:, None])
         start = stop
-    return ReturnSample(x)
+    return ReturnSample(z)
 
 
 def sample_tmix(model: StudentTMixture, n: int, seed: int) -> ReturnSample:

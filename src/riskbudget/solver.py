@@ -14,7 +14,9 @@ of its evaluator.
 
 All sample-based solvers standardize returns so the initial portfolio's risk
 is of order one; the solved allocation is mapped back afterwards. The
-normalized weights are invariant to this rescaling.
+normalized weights are invariant to this rescaling. No route copies the
+sample to standardize it: the descents divide the allocation and the
+gradient by the scale, and SGD divides only the rows it gathers.
 """
 
 from __future__ import annotations
@@ -145,13 +147,6 @@ class SolveReport:
             doc["wall_time"] = self.wall_time
         return doc
 
-    def to_csv_row(self, include_timing: bool = True) -> list:
-        row = [self.method, int(self.seed), int(self.iterations)]
-        if include_timing:
-            row.append(repr(float(self.wall_time)))
-        row += [repr(float(w)) for w in self.weights.values]
-        return row
-
 
 # ---------------------------------------------------------------------------
 # the mini-batch step pair of each threshold form
@@ -172,23 +167,18 @@ def _step_pair(spec: RiskMeasureSpec, budgets: Budgets):
             partial(deviation_subgradient, spec, budgets))
 
 
-def _standardization_constant(spec: RiskMeasureSpec, losses: np.ndarray) -> float:
-    c = empirical_risk(spec, losses)
-    if not np.isfinite(c) or abs(c) < 1e-300:
-        return 1.0
-    return abs(c)
+def _sample_risk(spec: RiskMeasureSpec, x: np.ndarray, scale: float):
+    """Full-sample objective risk of a standardized allocation and its exact
+    gradient, on the returns x standardized by scale.
 
-
-def _sample_risk(spec: RiskMeasureSpec, xs: np.ndarray):
-    """Full-sample objective risk of an allocation and its exact gradient.
-
-    The loss vector is -(xs @ y), so the y-gradient is -(w @ xs) for the
-    loss weights w: one pass, and no n x d temporary.
+    The loss vector is -(x @ (y / scale)), so the y-gradient is
+    -(w @ x) / scale for the loss weights w: one pass, and no n x d
+    temporary.
     """
 
     def risk_part(y):
-        value, w = empirical_objective_risk(spec, -(xs @ y))
-        return value, -(w @ xs)
+        value, w = empirical_objective_risk(spec, -(x @ (y / scale)))
+        return value, -(w @ x) / scale
 
     return risk_part
 
@@ -202,7 +192,7 @@ def _empirical_report(spec, budgets, theta: Weights,
     accepted measure (as spec.risk derives it), and its exact gradient is the
     objective's scaled by value ** (1 / power - 1) / power.
     """
-    value, grad = _sample_risk(spec, data)(theta.values)
+    value, grad = _sample_risk(spec, data, 1.0)(theta.values)
     if spec.power != 1.0:
         grad = grad * (value ** (1.0 / spec.power - 1.0) / spec.power)
     return euler_audit(theta, lambda t: value ** (1.0 / spec.power),
@@ -231,15 +221,20 @@ def _start(spec: RiskMeasureSpec, budgets: Budgets, x: np.ndarray, y0):
     d = x.shape[1]
     _check_problem(budgets, d)
     warn_if_nonpositive_risk(spec, lambda w: empirical_risk(spec, -(x @ w)), d)
-    scale = _standardization_constant(spec, -(x @ normalize(budgets.values).values))
+    scale = abs(empirical_risk(spec, -(x @ normalize(budgets.values).values)))
+    if not np.isfinite(scale) or scale < 1e-300:
+        scale = 1.0
     return scale, _initial_allocation(budgets, y0)
 
 
 def _finish(method, spec, budgets, config, scale, x, y, zeta, trace, wall, iterations,
             iterates=None) -> SolveReport:
     """Common end of the sample routes: unscale the standardized allocation y,
-    normalize it and audit the weights on the returns x."""
+    normalize it and audit the weights on the returns x. A zeta of None is
+    derived from the losses of the unscaled allocation on x."""
     raw = RawAllocation(y / scale)
+    if zeta is None:
+        zeta = spec.init_zeta(-(x @ raw.values))
     weights = normalize(raw)
     report = _empirical_report(spec, budgets, weights, x)
     return SolveReport(weights, raw, ZetaState(zeta), report, trace, wall,
@@ -413,13 +408,11 @@ def osbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     """
     x = sample.data
     scale, y = _start(spec, budgets, x, y0)
-    xs = x / scale
     t0 = time.perf_counter()
-    y, trace, iters, _ = _bb_descent(_sample_risk(spec, xs), budgets, y, config,
+    y, trace, iters, _ = _bb_descent(_sample_risk(spec, x, scale), budgets, y, config,
                                      config.max_iters or 1000, stop_on_objective=True)
     wall = time.perf_counter() - t0
-    return _finish("osbgd", spec, budgets, config, scale, x, y,
-                   spec.init_zeta(-(xs @ y)), trace, wall, iters)
+    return _finish("osbgd", spec, budgets, config, scale, x, y, None, trace, wall, iters)
 
 
 def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
@@ -461,15 +454,15 @@ def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
         samples = chain([x0], (next_sample() for _ in range(iters_fixed)))
         t0 = time.perf_counter()
         _, trace, iters, ys = _bb_descent(
-            lambda yy: _sample_risk(spec, next(samples) / scale)(yy), budgets, y,
+            lambda yy: _sample_risk(spec, next(samples), scale)(yy), budgets, y,
             config, iters_fixed, stop_on_objective=False)
         wall = time.perf_counter() - t0
         audit_data = next_sample()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     y_avg = np.mean(ys[-config.last_k:], axis=0)
-    return _finish("msbgd", spec, budgets, config, scale, audit_data, y_avg,
-                   spec.init_zeta(-((audit_data / scale) @ y_avg)), trace, wall, iters)
+    return _finish("msbgd", spec, budgets, config, scale, audit_data, y_avg, None,
+                   trace, wall, iters)
 
 
 # ---------------------------------------------------------------------------

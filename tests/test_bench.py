@@ -338,6 +338,15 @@ class TestFitAndSampleCommands:
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("key, override", [("osbgd", {"max_iters": 0}),
+                                               ("msbgd", {"bogus": 1})])
+    def test_bad_solver_override_names_its_key(self, tmp_path, capsys, key, override):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver_overrides": {key: override}}))
+        capsys.readouterr()
+        assert main(["study", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"solver override {key!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("step_schedule", {"kind": "constant", "base": 1e9}), ("kind", "constant"),
         ("exponent", 0.75)])
@@ -364,15 +373,18 @@ class TestFitAndSampleCommands:
 
 class TestDeterminism:
     def test_cli_rerun_byte_identical(self, tmp_path, demo_model_path):
-        outs = []
-        for run in ("a", "b"):
-            out = tmp_path / run
-            cfg = tmp_path / f"cfg_{run}.json"
-            cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
-                                       "solver": {"epochs": 2}}))
-            code = main(["solve", "--method", "sgd", "--model", demo_model_path,
-                         "--sample-size", "20000", "--seed", "9",
-                         "--config", str(cfg), "--no-timing", "--out", str(out)])
-            assert code == 0
-            outs.append((out / "solve_report.json").read_bytes())
-        assert outs[0] == outs[1]
+        for method, solver in [("sgd", {"epochs": 2}),
+                               ("osbgd", {"max_iters": 5, "resample_size": 4000}),
+                               ("msbgd", {"max_iters": 5, "resample_size": 4000})]:
+            outs = []
+            for run in ("a", "b"):
+                out = tmp_path / method / run
+                cfg = tmp_path / f"cfg_{method}_{run}.json"
+                cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
+                                           "solver": solver}))
+                code = main(["solve", "--method", method, "--model", demo_model_path,
+                             "--sample-size", "20000", "--seed", "9",
+                             "--config", str(cfg), "--no-timing", "--out", str(out)])
+                assert code == 0
+                outs.append((out / "solve_report.json").read_bytes())
+            assert outs[0] == outs[1], method

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -185,6 +186,21 @@ class TestSamplerOracle:
         got = [sample_tmix(tmix_demo, 3001, seed=30).data.tobytes(),
                sample_gmix(gmix_stressed, 3001, seed=30).data.tobytes()]
         assert got == want
+
+    @pytest.mark.parametrize("name", ["synth10", "gmix3_stressed"])
+    def test_sample_held_once(self, name):
+        # the rows are written over their normals: no second n x d array
+        if name == "synth10":
+            model = synth_dgp(10, 5)
+        else:
+            model = rb.load_model(rb.bundled_model_path(name))
+        tracemalloc.start()
+        try:
+            sample = rb.sample_model(model, 200_000, seed=31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * sample.data.nbytes
 
 
 class TestLossDistribution:

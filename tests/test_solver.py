@@ -16,7 +16,7 @@ from riskbudget import solver as solver_mod
 from riskbudget.models import StudentTMixture, derive_seed, sample_model
 from riskbudget.risk import (ZetaState, _hinge_power, dev_inner_zeta,
                              empirical_es, empirical_objective_risk,
-                             empirical_risk, warn_if_nonpositive_risk)
+                             empirical_risk)
 
 
 def iid_t_model(d, sigma2=1e-4, nu=4.0):
@@ -96,9 +96,6 @@ class TestSgdSolve:
         assert "wall_time" not in doc
         assert len(doc["objective_trace"]) == 50
         assert doc["weights"] == report.weights.values.tolist()
-        row = report.to_csv_row(include_timing=False)
-        assert row[0] == "sgd"
-        assert [float(v) for v in row[3:]] == report.weights.values.tolist()
 
     def test_trace_length(self, tmix_demo):
         n, batch, epochs = 10_000, 128, 3
@@ -147,7 +144,7 @@ class TestOsbgdSolve:
         spec = ExpectedShortfall(0.9)
         budgets = Budgets(np.array([0.5, 0.3, 0.2]))
         x = rb.sample_model(gmix_stressed, 3000, seed=7).data
-        risk = _sample_risk(spec, x / empirical_risk(spec, -(x @ budgets.values)))
+        risk = _sample_risk(spec, x, empirical_risk(spec, -(x @ budgets.values)))
         y, trace, iters, _ = _bb_descent(risk, budgets, budgets.values.copy(),
                                          SolverConfig(method="osbgd", stop_tol=0.0),
                                          60, stop_on_objective=True)
@@ -275,22 +272,18 @@ def _serial_msbgd(spec, budgets, model, config):
                             derive_seed(config.seed, "msbgd", key)).data
 
     x0 = draw(0)
-    d = model.dim
-    warn_if_nonpositive_risk(spec, lambda w: empirical_risk(spec, -(x0 @ w)), d)
-    scale = solver_mod._standardization_constant(
-        spec, -(x0 @ rb.normalize(budgets.values).values))
-    y = solver_mod._initial_allocation(budgets, None)
+    scale, y = solver_mod._start(spec, budgets, x0, None)
 
     iters_fixed = config.max_iters or 60
     samples = (x0 if k == 0 else draw(k) for k in range(iters_fixed + 1))
     _, trace, iters, ys = solver_mod._bb_descent(
-        lambda yy: solver_mod._sample_risk(spec, next(samples) / scale)(yy),
+        lambda yy: solver_mod._sample_risk(spec, next(samples), scale)(yy),
         budgets, y, config, iters_fixed, stop_on_objective=False)
     y_avg = np.mean(ys[-config.last_k:], axis=0)
     raw = rb.RawAllocation(y_avg / scale)
     weights = rb.normalize(raw)
     audit_data = draw("audit")
-    zeta = spec.init_zeta(-((audit_data / scale) @ y_avg))
+    zeta = spec.init_zeta(-(audit_data @ raw.values))
     report = solver_mod._empirical_report(spec, budgets, weights, audit_data)
     return rb.SolveReport(weights, raw, ZetaState(zeta), report, trace, 0.0,
                           iters, config.seed, "msbgd")
@@ -347,10 +340,10 @@ class TestMsbgdPrefetch:
                 started[keys[seed]] = used[0]
             return sample_model(model, n, seed)
 
-        def counting_risk(spec, xs):
+        def counting_risk(spec, x, scale):
             with lock:
                 used[0] += 1
-            return sample_risk(spec, xs)
+            return sample_risk(spec, x, scale)
 
         monkeypatch.setattr(solver_mod, "sample_model", recording_draw)
         monkeypatch.setattr(solver_mod, "_sample_risk", counting_risk)
@@ -358,6 +351,37 @@ class TestMsbgdPrefetch:
         assert sorted(started) == list(range(cfg.max_iters + 2))
         for key, uses in started.items():
             assert uses >= key - 2
+
+
+class TestDescentsReadTheSample:
+    @pytest.mark.parametrize("method", ["osbgd", "msbgd"])
+    def test_no_standardized_copy(self, tmix_demo, monkeypatch, method):
+        # the descents and their audits evaluate each drawn array itself
+        drawn, seen = [], []
+        draw, sample_risk = solver_mod.sample_model, solver_mod._sample_risk
+
+        def recording_draw(model, n, seed):
+            sample = draw(model, n, seed)
+            drawn.append(sample.data)
+            return sample
+
+        def recording_risk(spec, x, scale):
+            seen.append(x)
+            return sample_risk(spec, x, scale)
+
+        monkeypatch.setattr(solver_mod, "sample_model", recording_draw)
+        monkeypatch.setattr(solver_mod, "_sample_risk", recording_risk)
+        cfg = SolverConfig(method=method, max_iters=6, resample_size=3000, seed=57)
+        data = tmix_demo
+        if method == "osbgd":
+            data = rb.sample_model(tmix_demo, 3000, seed=57)
+            drawn.append(data.data)
+        rb.solve(ExpectedShortfall(0.95), Budgets.equal(4), data, cfg)
+        assert all(any(x is d for d in drawn) for x in seen)
+        # osbgd: the descent and the audit on its one sample; msbgd: the start,
+        # each iteration's resample and the audit sample, each a draw of its own
+        assert len(seen) == (2 if method == "osbgd" else cfg.max_iters + 2)
+        assert len({id(x) for x in seen}) == (1 if method == "osbgd" else len(seen))
 
 
 class TestReferenceSolve:
