@@ -184,10 +184,10 @@ def _sample_mixture(weights, locations, chols, dof, n: int, seed: int) -> Return
     The random numbers come first, one generator call each: the components,
     an n x d standard normal z and, for Student-t, V ~ chi2(nu) per row. The
     rows are then transformed in place over z, in blocks of _SAMPLE_BLOCK_ROWS:
-    per block and component, one matmul of the whole block into a buffer, the
-    Student scale and the location in place, and a copy of that component's
-    rows over their normals. An output row needs only its own normal row, and
-    it sees the same arithmetic as when its component's rows are transformed
+    per block and component, one gather of that component's rows (take), one
+    matmul, the Student scale and the location in place, and a write back
+    over their normals. An output row needs only its own normal row, and it
+    sees the same arithmetic as when its component's rows are transformed
     alone, so the bytes do not depend on the block size.
     """
     if n < 1:
@@ -199,25 +199,27 @@ def _sample_mixture(weights, locations, chols, dof, n: int, seed: int) -> Return
     if dof is not None:
         nu = dof[comp]
         t_scale = np.sqrt(nu / rng.chisquare(nu))
-    buf = np.empty((_SAMPLE_BLOCK_ROWS + 1, d))
     start = 0
     while start < n:
         stop = start + _SAMPLE_BLOCK_ROWS
         if stop + 1 >= n:
-            # NumPy runs a one-row matmul as a matrix-vector product, which
-            # rounds differently: a last row left alone joins this block
+            # a last row left alone joins this block: only a one-row sample
+            # has a one-row block
             stop = n
-        rows = slice(start, stop)
-        out = buf[:stop - start]
+        zb = z[start:stop]
         for k in range(n_comp):
-            mask = comp[rows] == k
-            if not mask.any():
+            idx = np.flatnonzero(comp[start:stop] == k)
+            if idx.size == 0:
                 continue
-            np.matmul(z[rows], chols[k].T, out=out)
+            if idx.size == 1 < len(zb):
+                # NumPy runs a one-row matmul as a matrix-vector product,
+                # which rounds differently: a lone row goes in twice
+                idx = np.repeat(idx, 2)
+            res = zb.take(idx, axis=0) @ chols[k].T
             if dof is not None:
-                out *= t_scale[rows, None]
-            out += locations[k]
-            np.copyto(z[rows], out, where=mask[:, None])
+                res *= t_scale[start:stop].take(idx)[:, None]
+            res += locations[k]
+            zb[idx] = res
         start = stop
     return ReturnSample(z)
 
@@ -227,8 +229,8 @@ def sample_tmix(model: StudentTMixture, n: int, seed: int) -> ReturnSample:
 
     Each draw picks a component from the mixture probabilities, then applies
     the normal/chi-square representation location + chol(scale) z sqrt(nu/V)
-    with V ~ chi2(nu). The rows are transformed block by block without
-    gathering each component's rows; the same seed gives the same bytes.
+    with V ~ chi2(nu). The rows are transformed block by block over their
+    normals; the same seed gives the same bytes.
     """
     return _sample_mixture(model.weights, model.locations, model._chol, model.dof, n, seed)
 

@@ -67,16 +67,22 @@ class _RUMeasure(_Measure):
     def init_zeta(self, losses) -> np.ndarray:
         return np.array([empirical_var_method7(losses, self.alpha)])
 
+    def risk(self, x: np.ndarray) -> float:
+        # the value alone: no n-length loss-weight vector
+        return self._value(x, _es_tail(x, self.alpha))
+
+    def _value(self, x, tail) -> float:
+        val = self.beta * float(x[tail].mean())
+        return val + self.delta * float(x.mean()) if self.delta != 0.0 else val
+
     def objective_and_weights(self, x: np.ndarray):
         """The risk and its loss gradient: beta times the tail mask over its
         count, plus delta / n."""
         tail = _es_tail(x, self.alpha)
-        val = self.beta * float(x[tail].mean())
         w = tail * (self.beta / np.count_nonzero(tail))
         if self.delta != 0.0:
-            val += self.delta * float(x.mean())
             w += self.delta / x.size
-        return val, w
+        return self._value(x, tail), w
 
 
 class _HingeMeasure(_Measure):
@@ -737,23 +743,25 @@ def empirical_objective_risk(spec: RiskMeasureSpec, losses):
     return spec.objective_and_weights(np.asarray(losses, dtype=float).ravel())
 
 
-def warn_if_nonpositive_risk(spec: RiskMeasureSpec, risk_at, d: int) -> None:
+def warn_if_nonpositive_risk(spec: RiskMeasureSpec, risks_at, d: int) -> None:
     """Probe equal weights and 0.9-concentrated corners; warn if risk <= 0.
 
     The risk budgeting problem assumes every long-only portfolio has positive
     risk; ES-family measures can violate this when alpha is too low.
+    risks_at maps a block of probe portfolios (rows) to their risks. The
+    blocks hold two probes each, so that a sample evaluator gets two loss
+    vectors from one pass over the sample and holds no more than two.
     """
     if not spec._probe_positivity:
         return
-    probes = [np.full(d, 1.0 / d)]
-    for i in range(d):
-        w = np.full(d, 0.1 / (d - 1)) if d > 1 else np.array([1.0])
-        w[i] = 0.9
-        probes.append(w)
-    bad = [w for w in probes if risk_at(w) <= 0.0]
+    probes = np.full((d + 1, d), 0.1 / max(d - 1, 1))
+    probes[0] = 1.0 / d
+    probes[np.arange(1, d + 1), np.arange(d)] = 0.9
+    bad = sum(np.count_nonzero(np.asarray(risks_at(probes[i:i + 2])) <= 0.0)
+              for i in range(0, d + 1, 2))
     if bad:
         warnings.warn(
-            f"{measure_label(spec)} is non-positive on {len(bad)} probe "
+            f"{measure_label(spec)} is non-positive on {bad} probe "
             "portfolio(s); risk budgets are not meaningful there",
             RiskPositivityWarning,
             stacklevel=3,

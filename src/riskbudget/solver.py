@@ -1,10 +1,9 @@
 """Risk budgeting solvers.
 
 Four routes to the same portfolio: a stochastic subgradient method on the
-joint (allocation, threshold) objective, two Barzilai-Borwein descents
-(fixed sample vs freshly simulated samples), and a deterministic reference
-minimization of the exact objective for measures with closed-form
-evaluators.
+joint (allocation, threshold) objective, two Barzilai-Borwein descents (fixed
+sample vs freshly simulated samples), and a deterministic reference
+minimization of the exact objective for measures with closed-form evaluators.
 
 Every gradient is exact. The descents and the Euler audits of the sample
 routes take the loss-vector gradient of the full-sample objective at its
@@ -13,10 +12,11 @@ one matrix-vector product; the reference solve uses the closed-form gradient
 of its evaluator.
 
 All sample-based solvers standardize returns so the initial portfolio's risk
-is of order one; the solved allocation is mapped back afterwards. The
-normalized weights are invariant to this rescaling. No route copies the
-sample to standardize it: the descents divide the allocation and the
-gradient by the scale, and SGD divides only the rows it gathers.
+is of order one and map the solved allocation back; the normalized weights
+are invariant to this. No route copies the sample to standardize it: the
+descents divide the allocation and the gradient by the scale, and SGD divides
+only the rows it gathers (by take, three times faster than fancy indexing).
+The common start probes positivity on d + 1 portfolios, two per GEMM pass.
 """
 
 from __future__ import annotations
@@ -220,7 +220,8 @@ def _start(spec: RiskMeasureSpec, budgets: Budgets, x: np.ndarray, y0):
     positivity probe, standardization constant and starting allocation."""
     d = x.shape[1]
     _check_problem(budgets, d)
-    warn_if_nonpositive_risk(spec, lambda w: empirical_risk(spec, -(x @ w)), d)
+    # each group of probe portfolios (rows) takes one GEMM pass over x
+    warn_if_nonpositive_risk(spec, lambda p: [empirical_risk(spec, r) for r in -p @ x.T], d)
     scale = abs(empirical_risk(spec, -(x @ normalize(budgets.values).values)))
     if not np.isfinite(scale) or scale < 1e-300:
         scale = 1.0
@@ -266,7 +267,7 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     avg_start = int(np.floor(total * (1.0 - config.averaging_fraction)))
 
     order = rng.permutation(n)
-    first = x[order[:config.batch_size]] / scale
+    first = x.take(order[:config.batch_size], axis=0) / scale
     zeta = spec.init_zeta(-(first @ y))
     obj0 = objective(y, zeta, first)
     if not np.isfinite(obj0):
@@ -299,9 +300,10 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
         if epoch > 0:
             order = rng.permutation(n)
         for chunk_start in range(0, n, chunk_rows):
-            # one gather per chunk of batches, standardized in place (the
+            # one gather per chunk of batches (take, not fancy indexing, which
+            # is about three times slower per row), standardized in place (the
             # division x / scale elementwise); each batch is a contiguous view
-            chunk = x[order[chunk_start:chunk_start + chunk_rows]]
+            chunk = x.take(order[chunk_start:chunk_start + chunk_rows], axis=0)
             chunk /= scale
             for start in range(0, len(chunk), bs):
                 batch = chunk[start:start + bs]
@@ -495,7 +497,7 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
         def final_zeta(theta):
             return var_tmix(model, theta, spec.alpha)
 
-        warn_if_nonpositive_risk(spec, lambda y: es_tmix(model, y, spec.alpha), d)
+        warn_if_nonpositive_risk(spec, lambda p: [es_tmix(model, y, spec.alpha) for y in p], d)
     elif isinstance(spec, Volatility):
         value_grad = partial(volatility_value_and_gradient, model.covariance())
 

@@ -164,6 +164,49 @@ def _assert_same_draws(model, n, seed):
         assert got.tobytes() == want.tobytes()
 
 
+# The block transform as it stood before the per-component gather: per block
+# and component, one matmul of the whole block, the Student scale and the
+# location, then a masked copy of that component's rows. Kept as the oracle
+# the gather transform must reproduce byte for byte.
+
+def _oracle_masked_blocks(weights, locations, chols, dof, n, seed):
+    n_comp, d = locations.shape
+    rng = np.random.default_rng(seed)
+    comp = rng.choice(n_comp, size=n, p=weights)
+    z = rng.standard_normal((n, d))
+    if dof is not None:
+        nu = dof[comp]
+        t_scale = np.sqrt(nu / rng.chisquare(nu))
+    block = rb.models._SAMPLE_BLOCK_ROWS
+    buf = np.empty((block + 1, d))
+    start = 0
+    while start < n:
+        stop = n if start + block + 1 >= n else start + block
+        rows = slice(start, stop)
+        out = buf[:stop - start]
+        for k in range(n_comp):
+            mask = comp[rows] == k
+            if not mask.any():
+                continue
+            np.matmul(z[rows], chols[k].T, out=out)
+            if dof is not None:
+                out *= t_scale[rows, None]
+            out += locations[k]
+            np.copyto(z[rows], out, where=mask[:, None])
+        start = stop
+    return z
+
+
+def _sampler_model(name):
+    if name == "synth10":
+        return synth_dgp(10, seed=29)
+    if name == "rare":
+        # a component of weight 1e-3 has about four rows per default block
+        base = synth_dgp(4, seed=3)
+        return make_tmix([0.999, 0.001], base.locations[:2], base.scales[:2], [4.0, 2.5])
+    return rb.load_model(rb.bundled_model_path(name))
+
+
 class TestSamplerOracle:
     SEEDS = (0, 1, 17, 2024)
     SIZES = (2, 64, 3500, rb.models._SAMPLE_BLOCK_ROWS + 1, 100_003)
@@ -186,6 +229,22 @@ class TestSamplerOracle:
         got = [sample_tmix(tmix_demo, 3001, seed=30).data.tobytes(),
                sample_gmix(gmix_stressed, 3001, seed=30).data.tobytes()]
         assert got == want
+
+    @pytest.mark.parametrize("name", ["synth10", "tmix4_demo", "gmix3_stressed", "rare"])
+    def test_gather_transform_matches_masked_blocks(self, name):
+        model = _sampler_model(name)
+        student = isinstance(model, StudentTMixture)
+        args = (model.weights, model.locations if student else model.means,
+                model._chol, model.dof if student else None)
+        for n in (2, 3, rb.models._SAMPLE_BLOCK_ROWS + 1, 100_003):
+            for seed in self.SEEDS:
+                got = rb.sample_model(model, n, seed).data
+                assert got.tobytes() == _oracle_masked_blocks(*args, n, seed).tobytes()
+        if name == "rare":
+            # some default-size block holds exactly one row of the rare component
+            starts = np.arange(0, 100_003, rb.models._SAMPLE_BLOCK_ROWS)
+            assert any(np.any(np.add.reduceat(np.random.default_rng(seed).choice(
+                2, size=100_003, p=model.weights), starts) == 1) for seed in self.SEEDS)
 
     @pytest.mark.parametrize("name", ["synth10", "gmix3_stressed"])
     def test_sample_held_once(self, name):

@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -533,6 +534,76 @@ class TestDerivedRisk:
         spec = rb.Spectral(0.1, nodes, subtract_mean=subtract_mean)
         for losses in self._loss_samples(nodes):
             assert spec.risk(losses) == spec.objective_and_weights(losses)[0] ** (1.0 / spec.power)
+
+
+    @pytest.mark.parametrize("spec", [ExpectedShortfall(0.9), ExpectedShortfall(0.5),
+                                      rb.ESMeanMixture(1.0, -1.0, 0.9),
+                                      rb.ESMeanMixture(2.0, 0.5, 0.95)],
+                             ids=rb.measure_label)
+    def test_ru_value_only_risk_matches_evaluator(self, spec):
+        for losses in self._loss_samples(33):
+            assert spec.risk(losses) == spec.objective_and_weights(losses)[0]
+
+
+def _per_probe_risks(spec, x):
+    # the positivity probes as they were evaluated one at a time
+    d = x.shape[1]
+    probes = [np.full(d, 1.0 / d)]
+    for i in range(d):
+        w = np.full(d, 0.1 / (d - 1))
+        w[i] = 0.9
+        probes.append(w)
+    return [empirical_risk(spec, -(x @ w)) for w in probes]
+
+
+class TestPositivityProbes:
+    @pytest.mark.parametrize("spec", [s for s in EULER_AUDIT_SPECS if s._probe_positivity],
+                             ids=rb.measure_label)
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_grouped_probes_match_per_probe(self, spec, d, monkeypatch):
+        x = rb.sample_model(rb.synth_dgp(d, 7), 20_000, seed=58).data
+        blocks = []
+        warn = solver_mod.warn_if_nonpositive_risk
+
+        def recording(spec, risks_at, d):
+            def recorded(block):
+                blocks.append((len(block), list(risks_at(block))))
+                return blocks[-1][1]
+            warn(spec, recorded, d)
+
+        monkeypatch.setattr(solver_mod, "warn_if_nonpositive_risk", recording)
+        solver_mod._start(spec, Budgets.equal(d), x, None)
+        assert all(size <= 2 for size, _ in blocks)
+        got = [r for _, risks in blocks for r in risks]
+        want = _per_probe_risks(spec, x)
+        assert len(got) == len(want) == d + 1
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w)
+
+    @pytest.mark.parametrize("spec", [ExpectedShortfall(0.5), rb.Spectral(0.1, 8)],
+                             ids=rb.measure_label)
+    def test_nonpositive_probes_warn_as_per_probe(self, spec):
+        # a large positive mean on two assets makes some probes' risk negative
+        x = (np.random.default_rng(59).normal(size=(5000, 4))
+             + np.array([3.0, 3.0, -3.0, 0.0]))
+        bad = sum(r <= 0.0 for r in _per_probe_risks(spec, x))
+        assert 0 < bad < 5
+        with pytest.warns(rb.RiskPositivityWarning) as record:
+            solver_mod._start(spec, Budgets.equal(4), x, None)
+        assert [str(w.message) for w in record] == [
+            f"{rb.measure_label(spec)} is non-positive on {bad} probe portfolio(s); "
+            "risk budgets are not meaningful there"]
+
+    def test_probes_hold_no_loss_block(self):
+        # two probes' losses at a time, never an n x (d + 1) block
+        x = rb.sample_model(rb.synth_dgp(10, 5), 200_000, seed=60).data
+        tracemalloc.start()
+        try:
+            solver_mod._start(ExpectedShortfall(0.95), Budgets.equal(10), x, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * x.nbytes
 
 
 class TestOneEvaluationPerAudit:
