@@ -15,11 +15,10 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Union
 
 import numpy as np
-from scipy import stats
 from scipy.optimize import brentq
 
 from .core import Budgets, InputError, NumericError, _values_of
-from .models import StudentTMixture, _portfolio_params
+from .models import StudentTMixture, _portfolio_params, _t_cdf, _t_pdf
 
 
 class SpecError(InputError):
@@ -318,6 +317,10 @@ def measure_from_dict(doc: dict) -> RiskMeasureSpec:
 
 # ---------------------------------------------------------------------------
 # semi-analytic VaR / ES under a Student-t mixture
+#
+# The standard t cdf and density come from models._t_cdf (scipy.special.stdtr)
+# and models._t_pdf, which give the bits of scipy.stats.t at every finite dof
+# without importing scipy.stats.
 
 def var_tmix(model: StudentTMixture, y, alpha: float) -> float:
     """Loss quantile of -y'X: the unique root z of the mixture loss cdf = alpha.
@@ -333,7 +336,7 @@ def var_tmix(model: StudentTMixture, y, alpha: float) -> float:
     p, nu = model.weights, model.dof
 
     def cdf(z):
-        return float(np.dot(p, stats.t.cdf((z + m) / sig, nu)))
+        return float(np.dot(p, _t_cdf((z + m) / sig, nu)))
 
     radius = float(np.abs(m).max() + 10.0 * sig.max())
     lo, hi = -radius, radius
@@ -357,7 +360,7 @@ def es_tmix(model: StudentTMixture, y, alpha: float) -> float:
 
     Uses the partial-expectation identity for the standard t density,
     int_t^inf u f_nu(u) du = (nu + t^2) f_nu(t) / (nu - 1), which needs every
-    component dof above 1.
+    component dof above 1, as StudentTMixture checks when it is built.
     """
     return _es_tmix_value_grad(model, y, alpha)[0]
 
@@ -370,15 +373,13 @@ def _es_tmix_value_grad(model: StudentTMixture, y, alpha: float):
     (1/(1-alpha)) sum_k p_k [(nu_k + t_k^2) f(t_k) / (nu_k - 1) S_k y / sigma_k
     - mu_k Fbar(t_k)]. Its dot product with y is the ES itself.
     """
-    if np.any(model.dof <= 1.0):
-        raise NumericError("expected shortfall undefined: some dof <= 1")
     yv = _values_of(y)
     v = var_tmix(model, yv, alpha)
     sig, m = _portfolio_params(model, yv)
     nu = model.dof
     t = (v + m) / sig
-    f = stats.t.pdf(t, nu)
-    above = stats.t.cdf(-t, nu)                 # P(U > t)
+    f = _t_pdf(t, nu)
+    above = _t_cdf(-t, nu)                      # P(U > t)
     upper = (nu + t * t) / (nu - 1.0) * f       # E[U; U > t]
     terms = sig * (nu + t * t) / (nu - 1.0) * f - m * above
     value = float(np.dot(model.weights, terms) / (1.0 - alpha))

@@ -12,6 +12,7 @@ from riskbudget.bench import (BenchRow, ExperimentSpec, format_reference_table,
                               run_measure_comparison, run_reference,
                               run_sgd_trace, write_bench_csv, write_trace_csv)
 from riskbudget.cli import main
+from riskbudget.models import model_to_dict
 
 
 @pytest.fixture()
@@ -58,6 +59,16 @@ class TestReferenceCommand:
         bad.write_text("{broken")
         code = main(["reference", "--model", str(bad), "--out", str(tmp_path)])
         assert code == 1
+
+    def test_cli_non_finite_model(self, tmp_path, capsys):
+        doc = model_to_dict(rb.load_model(rb.bundled_model_path("tmix4_demo")))
+        doc["nu"][0] = float("inf")
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(doc))
+        assert "Infinity" in bad.read_text()
+        code = main(["reference", "--model", str(bad), "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: degrees of freedom" in capsys.readouterr().err
 
     def test_cli_missing_file(self, tmp_path):
         code = main(["reference", "--model", str(tmp_path / "nope.json"),

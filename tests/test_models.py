@@ -15,7 +15,7 @@ from riskbudget import (EMConfig, GaussianMixture, ReturnSample,
                         sample_tmix, synth_dgp)
 from riskbudget.core import InputError
 from riskbudget.models import (ModelError, _kmeanspp_responsibilities,
-                               _safe_cholesky, mixture_loglik)
+                               _safe_cholesky, mixture_loglik, model_from_dict)
 
 
 def make_tmix(p, mu, scales, nu):
@@ -41,6 +41,26 @@ class TestModelValidation:
     def test_dof_above_one(self):
         with pytest.raises(ModelError):
             make_tmix([1.0], np.zeros((1, 2)), [np.eye(2)], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind,field", [
+        ("tmix", "p"), ("tmix", "mu"), ("tmix", "scale"), ("tmix", "nu"),
+        ("gmix", "p"), ("gmix", "mu"), ("gmix", "scale")])
+    def test_non_finite_field_rejected(self, kind, field, bad):
+        doc = {"type": kind, "p": [0.5, 0.5], "mu": [[0.0, 0.1], [0.2, 0.0]],
+               "scale": [np.eye(2).tolist(), (2.0 * np.eye(2)).tolist()],
+               "nu": [4.0, 5.0]}
+        if kind == "gmix":
+            del doc["nu"]
+        model_from_dict(doc)
+        target = doc[field]
+        while isinstance(target[0], list):
+            target = target[0]
+        target[0] = bad
+        names = {"p": "probabilities", "mu": "locations|means",
+                 "scale": "scale|covariance", "nu": "degrees of freedom"}
+        with pytest.raises(ModelError, match=names[field]):
+            model_from_dict(doc)
 
     def test_covariance_mixture(self, gmix_stressed):
         # covariance of a two-point mixture: within + between parts
@@ -319,6 +339,12 @@ class TestEMStudent:
         x = ReturnSample(np.random.default_rng(0).normal(size=(7, 4)))
         with pytest.raises(ValueError):
             em_fit_tmix(x, 2, np.array([4.0, 2.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0])
+    def test_fixed_dof_must_be_finite_above_one(self, bad):
+        x = ReturnSample(np.random.default_rng(0).normal(size=(300, 4)))
+        with pytest.raises(ModelError, match="degrees of freedom"):
+            em_fit_tmix(x, 2, np.array([4.0, bad]))
 
 
 class TestEMGaussian:

@@ -1,14 +1,21 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import riskbudget as rb
 from riskbudget import (Budgets, Deviation, DeviationPlusMean, ESMeanMixture,
                         ExpectedShortfall, Spectral, SpectralGrid, SpecError,
                         Volatility, empirical_es, empirical_var_method7,
-                        es_tmix, var_tmix)
-from riskbudget.models import StudentTMixture
+                        es_tmix, loss_cdf_tmix, loss_pdf_tmix, var_tmix)
+from riskbudget.models import StudentTMixture, _portfolio_params, _t_cdf, _t_pdf
 from riskbudget.risk import (_es_tmix_value_grad, deviation_objective,
                              deviation_subgradient, empirical_risk,
                              ru_objective, ru_subgradient, spectral_grid,
@@ -688,3 +695,130 @@ class TestMeasureProperties:
         with pytest.warns(RiskPositivityWarning):
             warn_if_nonpositive_risk(ExpectedShortfall(0.9),
                                      lambda w: -1.0, 3)
+
+
+# loss_cdf_tmix, loss_pdf_tmix, var_tmix and _es_tmix_value_grad as they stood
+# when they took the Student-t cdf and density from scipy.stats.t. Kept as the
+# oracles the scipy.special helpers must reproduce bit for bit.
+
+def _oracle_loss_cdf(model, y, z):
+    sig, m = _portfolio_params(model, y)
+    return float(np.dot(model.weights, stats.t.cdf((z + m) / sig, model.dof)))
+
+
+def _oracle_loss_pdf(model, y, z):
+    sig, m = _portfolio_params(model, y)
+    return float(np.dot(model.weights / sig, stats.t.pdf((z + m) / sig, model.dof)))
+
+
+def _oracle_var_tmix(model, y, alpha):
+    sig, m = _portfolio_params(model, y)
+    p, nu = model.weights, model.dof
+
+    def cdf(z):
+        return float(np.dot(p, stats.t.cdf((z + m) / sig, nu)))
+
+    radius = float(np.abs(m).max() + 10.0 * sig.max())
+    lo, hi = -radius, radius
+    while cdf(lo) > alpha:
+        lo *= 2.0
+    while cdf(hi) < alpha:
+        hi *= 2.0
+    return float(brentq(lambda z: cdf(z) - alpha, lo, hi, xtol=1e-300, rtol=8.9e-16))
+
+
+def _oracle_es_tmix_value_grad(model, y, alpha):
+    yv = np.asarray(y, dtype=float)
+    v = _oracle_var_tmix(model, yv, alpha)
+    sig, m = _portfolio_params(model, yv)
+    nu = model.dof
+    t = (v + m) / sig
+    f = stats.t.pdf(t, nu)
+    above = stats.t.cdf(-t, nu)
+    upper = (nu + t * t) / (nu - 1.0) * f
+    terms = sig * (nu + t * t) / (nu - 1.0) * f - m * above
+    value = float(np.dot(model.weights, terms) / (1.0 - alpha))
+    p = model.weights / (1.0 - alpha)
+    grad = (p * upper / sig) @ (model.scales @ yv) - (p * above) @ model.locations
+    return value, grad
+
+
+def _t_grid(rng):
+    special = [0.0, 1e-300, 1e150, np.inf, 1.0]
+    t = np.concatenate([special, np.negative(special),
+                        rng.standard_normal(2000) * 3.0,
+                        rng.standard_t(1.5, 2000)])
+    nu = np.concatenate([[1.0 + 1e-7, 1.5, 2.5, 4.0, 30.0, 1e3, 1e6],
+                         np.exp(rng.uniform(np.log(1.0 + 1e-7), np.log(1e6), 40))])
+    return t, nu
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestStudentTOracle:
+    def test_helpers_match_scipy_stats_on_pairs(self):
+        # the K = 2 shape of the mixture evaluators: one t and one dof per
+        # component; every edge value meets every dof pair, every random value one
+        t, nu = _t_grid(np.random.default_rng(71))
+        pairs = [nu[k:k + 2] for k in range(0, len(nu) - 1)]
+        cases = [(ti, q) for ti in t[:10] for q in pairs]
+        cases += [(ti, pairs[i % len(pairs)]) for i, ti in enumerate(t[10:])]
+        for ti, q in cases:
+            pair_t = np.array([ti, -0.5 * ti])
+            assert _same_bits(_t_cdf(pair_t, q), stats.t.cdf(pair_t, q))
+            assert _same_bits(_t_pdf(pair_t, q), stats.t.pdf(pair_t, q))
+
+    def test_helpers_match_scipy_stats_on_long_arrays(self):
+        t, nu = _t_grid(np.random.default_rng(73))
+        for v in nu:
+            assert _same_bits(_t_cdf(t, v), stats.t.cdf(t, v))
+            assert _same_bits(_t_pdf(t, v), stats.t.pdf(t, v))
+        rows = np.resize(nu, t.shape)
+        assert _same_bits(_t_cdf(t, rows), stats.t.cdf(t, rows))
+        assert _same_bits(_t_pdf(t, rows), stats.t.pdf(t, rows))
+
+    @pytest.mark.parametrize("which", ["tmix_demo", "synth_dgp10"])
+    def test_evaluators_match_oracles(self, which, tmix_demo):
+        model = tmix_demo if which == "tmix_demo" else rb.synth_dgp(10, seed=31)
+        rng = np.random.default_rng(74)
+        for _ in range(15):
+            y = np.exp(0.7 * rng.standard_normal(model.dim))
+            alpha = float(rng.uniform(0.8, 0.995))
+            for z in (-0.3, -1e-3, 0.0, 2e-3, 0.05, 1.0):
+                assert loss_cdf_tmix(model, y, z) == _oracle_loss_cdf(model, y, z)
+                assert loss_pdf_tmix(model, y, z) == _oracle_loss_pdf(model, y, z)
+            assert var_tmix(model, y, alpha) == _oracle_var_tmix(model, y, alpha)
+            value, grad = _es_tmix_value_grad(model, y, alpha)
+            want_value, want_grad = _oracle_es_tmix_value_grad(model, y, alpha)
+            assert value == want_value and _same_bits(grad, want_grad)
+
+    @pytest.mark.parametrize("which", ["tmix_demo", "synth_dgp10"])
+    def test_reference_report_matches_oracle(self, which, tmix_demo, monkeypatch):
+        model = tmix_demo if which == "tmix_demo" else rb.synth_dgp(10, seed=32)
+        b = np.linspace(1.0, 2.0, model.dim)
+        budgets = Budgets(b / b.sum())
+
+        def report_json():
+            report = rb.reference_solve(ExpectedShortfall(0.95), budgets, model)
+            return json.dumps(report.to_dict(include_timing=False))
+
+        got = report_json()
+        monkeypatch.setattr("riskbudget.solver._es_tmix_value_grad", _oracle_es_tmix_value_grad)
+        monkeypatch.setattr("riskbudget.solver.var_tmix", _oracle_var_tmix)
+        monkeypatch.setattr("riskbudget.solver.es_tmix",
+                            lambda *a: _oracle_es_tmix_value_grad(*a)[0])
+        assert got == report_json()
+
+    def test_package_import_leaves_scipy_stats_out(self):
+        # the package takes the t cdf and density from scipy.special: importing
+        # scipy.stats would add its import time to every CLI process
+        code = ("import sys, riskbudget, riskbudget.cli; "
+                "print('scipy.stats' in sys.modules)")
+        src = str(Path(rb.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
