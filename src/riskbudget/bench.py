@@ -158,13 +158,16 @@ def _one_repetition(spec: ExperimentSpec, d: int, rep: int) -> list[tuple]:
                 continue
             tag = setting
             sample = sample_model(model, spec.sim_size, derive_seed(rep_seed, setting, "sim"))
-        # looked up per call, so wrappers set on this module's names apply
-        routes = {"sgd": (sgd_solve, sample), "osbgd": (osbgd_solve, sample),
-                  "msbgd": (msbgd_solve, model)}
+        # each route's input, let go once its route has run, so that msbgd's
+        # draws do not stack on the simulated sample
+        inputs = {"sgd": sample, "osbgd": sample, "msbgd": model}
+        del sample
         for method in methods:
             key = "model_free_sgd" if (tag, method) == ("mf", "sgd") else method
             cfg = replace(configs[key], seed=derive_seed(rep_seed, tag, method))
-            route, data = routes[method]
+            # looked up per call, so wrappers set on this module's names apply
+            route = {"sgd": sgd_solve, "osbgd": osbgd_solve, "msbgd": msbgd_solve}[method]
+            data = inputs.pop(method)
             try:
                 report = route(measure, budgets, data, cfg)
                 cells.append((l1_accuracy(report.weights, theta_ref), report.wall_time, ""))
@@ -232,13 +235,15 @@ def read_bench_csv(path) -> list[BenchRow]:
     return rows
 
 
-def format_bench_table(rows) -> str:
-    lines = [f"{'d':>5} {'setting':>12} {'method':>8} {'accuracy':>16} {'time (s)':>16}"]
+def format_bench_table(rows, include_timing: bool = True) -> str:
+    head = f"{'d':>5} {'setting':>12} {'method':>8} {'accuracy':>16}"
+    lines = [head + (f" {'time (s)':>16}" if include_timing else "")]
     for r in rows:
         acc = f"{r.acc_mean:.2f} ({r.acc_std:.2f})"
         tim = f"{r.time_mean:.2f} ({r.time_std:.2f})"
         flag = f"  [{r.errors}]" if r.errors else ""
-        lines.append(f"{r.d:>5} {r.setting:>12} {r.method:>8} {acc:>16} {tim:>16}{flag}")
+        line = f"{r.d:>5} {r.setting:>12} {r.method:>8} {acc:>16}"
+        lines.append(line + (f" {tim:>16}" if include_timing else "") + flag)
     return "\n".join(lines)
 
 

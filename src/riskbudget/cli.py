@@ -151,7 +151,7 @@ def _cmd_study(args) -> int:
     rows = run_accuracy_study(spec)
     write_bench_csv(rows, os.path.join(spec.output_dir, "study.csv"),
                     include_timing=not args.no_timing)
-    print(format_bench_table(rows))
+    print(format_bench_table(rows, include_timing=not args.no_timing))
     return 0
 
 

@@ -8,6 +8,7 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -17,8 +18,9 @@ from .core import InputError, NumericError, _is_finite, _values_of
 
 PROB_ATOL = 1e-12
 SYM_ATOL = 1e-12
-_CSV_BLOCK_ROWS = 65536
-_SAMPLE_BLOCK_ROWS = 4096    # sampler rows per block: 4096 x d floats stay in cache
+_CSV_BLOCK_ROWS = 4096       # rows formatted as Python objects at a time
+# sampler rows, and EM columns, per block: 4096 x d floats stay in cache
+_SAMPLE_BLOCK_ROWS = 4096
 
 
 class ModelError(InputError):
@@ -205,7 +207,8 @@ def _sample_mixture(weights, locations, chols, dof, n: int, seed: int) -> Return
     z = rng.standard_normal((n, d))
     if dof is not None:
         nu = dof[comp]
-        t_scale = np.sqrt(nu / rng.chisquare(nu))
+        chi = rng.chisquare(nu)
+        t_scale = np.sqrt(np.divide(nu, chi, out=chi), out=chi)
     start = 0
     while start < n:
         stop = start + _SAMPLE_BLOCK_ROWS
@@ -309,20 +312,35 @@ class FitError(NumericError):
     """EM could not produce a valid mixture."""
 
 
+def _blocks(n: int) -> list[slice]:
+    """Row (or column) slices of _SAMPLE_BLOCK_ROWS covering range(n)."""
+    return [slice(s, s + _SAMPLE_BLOCK_ROWS) for s in range(0, n, _SAMPLE_BLOCK_ROWS)]
+
+
 def _kmeanspp_responsibilities(x: np.ndarray, n_comp: int, rng) -> np.ndarray:
     # k-means++ style seeding on standardized data, then softened hard
-    # assignment; returns the N x n responsibilities
+    # assignment; returns the N x n responsibilities. Rows are standardized a
+    # block at a time, with the operations of a whole-array standardization.
     sd = x.std(axis=0)
     sd[sd == 0.0] = 1.0
-    z = (x - x.mean(axis=0)) / sd
-    n = len(z)
-    centers = [z[rng.integers(n)]]
+    mean = x.mean(axis=0)
+    n = len(x)
+
+    def dist2(centers):
+        d2 = np.empty((len(centers), n))
+        for rows in _blocks(n):
+            zb = (x[rows] - mean) / sd
+            for j, c in enumerate(centers):
+                d2[j, rows] = ((zb - c) ** 2).sum(axis=1)
+        return d2
+
+    centers = [(x[rng.integers(n)] - mean) / sd]
     for _ in range(1, n_comp):
-        d2 = np.min(np.stack([((z - c) ** 2).sum(axis=1) for c in centers]), axis=0)
+        d2 = dist2(centers).min(axis=0)
         tot = d2.sum()
         probs = d2 / tot if tot > 0 else np.full(n, 1.0 / n)
-        centers.append(z[rng.choice(n, p=probs)])
-    d2 = np.stack([((z - c) ** 2).sum(axis=1) for c in centers])
+        centers.append((x[rng.choice(n, p=probs)] - mean) / sd)
+    d2 = dist2(centers)
     resp = np.full((n_comp, n), 0.05 / n_comp)
     resp[d2.argmin(axis=0), np.arange(n)] += 0.95
     return resp
@@ -344,33 +362,37 @@ def _log_joint(xt, p, mu, chols, nu=None):
     """log p_k + log f_k(x) for each component k (rows) and each column x of
     the d x n array xt, f_k Student-t with nu_k dof or Gaussian for nu None;
     also, for Student-t, the weights (nu_k + d) / (nu_k + delta_k(x)), delta_k
-    the squared Mahalanobis distance, else None. The elementwise chains run
-    in place in the rows of the two outputs."""
+    the squared Mahalanobis distance, else None. The columns go in blocks of
+    _SAMPLE_BLOCK_ROWS, and the elementwise chains run in place in the rows of
+    the two outputs."""
     d, n = xt.shape
     out = np.empty((len(p), n))
     u = None if nu is None else np.empty((len(p), n))
-    delta = np.empty(n)
     for k in range(len(p)):
-        z = solve_triangular(chols[k], np.eye(d), lower=True) @ (xt - mu[k][:, None])
-        np.einsum("ij,ij->j", z, z, out=delta)
+        linv = solve_triangular(chols[k], np.eye(d), lower=True)
         logdet = 2.0 * np.log(np.diag(chols[k])).sum()
-        row = out[k]
-        if nu is None:
-            # log p_k - 0.5 * (d log(2 pi) + logdet + delta)
-            np.add(d * np.log(2.0 * np.pi) + logdet, delta, out=row)
-            np.multiply(0.5, row, out=row)
-            np.subtract(np.log(p[k]), row, out=row)
-        else:
-            # log p_k + (c_k - 0.5 (nu_k + d) log1p(delta / nu_k))
+        if nu is not None:
             c = (gammaln((nu[k] + d) / 2.0) - gammaln(nu[k] / 2.0)
                  - 0.5 * d * np.log(nu[k] * np.pi) - 0.5 * logdet)
-            np.divide(delta, nu[k], out=row)
-            np.log1p(row, out=row)
-            np.multiply(0.5 * (nu[k] + d), row, out=row)
-            np.subtract(c, row, out=row)
-            np.add(np.log(p[k]), row, out=row)
-            np.add(nu[k], delta, out=u[k])
-            np.divide(nu[k] + d, u[k], out=u[k])
+        for cols in _blocks(n):
+            z = linv @ (xt[:, cols] - mu[k][:, None])
+            delta = np.einsum("ij,ij->j", z, z)
+            row = out[k, cols]
+            if nu is None:
+                # log p_k - 0.5 * (d log(2 pi) + logdet + delta)
+                np.add(d * np.log(2.0 * np.pi) + logdet, delta, out=row)
+                np.multiply(0.5, row, out=row)
+                np.subtract(np.log(p[k]), row, out=row)
+            else:
+                # log p_k + (c_k - 0.5 (nu_k + d) log1p(delta / nu_k))
+                np.divide(delta, nu[k], out=row)
+                np.log1p(row, out=row)
+                np.multiply(0.5 * (nu[k] + d), row, out=row)
+                np.subtract(c, row, out=row)
+                np.add(np.log(p[k]), row, out=row)
+                uk = u[k, cols]
+                np.add(nu[k], delta, out=uk)
+                np.divide(nu[k] + d, uk, out=uk)
     return out, u
 
 
@@ -388,7 +410,8 @@ def _normalize_columns(log_joint: np.ndarray) -> np.ndarray:
 def _em_fit(x: np.ndarray, n_comp: int, config: EMConfig, nu_fixed=None):
     """Core EM loop shared by the Student-t and Gaussian fits, component-major:
     the data are one d x n array and the responsibilities N x n, so each
-    component costs one GEMM for the whitened residuals and one for the scatter.
+    component costs one GEMM for the whitened residuals and one for the scatter
+    per block of _SAMPLE_BLOCK_ROWS columns; no pass allocates a d x n array.
 
     With nu_fixed set, runs the fixed-dof Student-t M-step with latent scale
     weights u = (nu + d) / (nu + mahalanobis^2); otherwise plain Gaussian EM.
@@ -415,14 +438,20 @@ def _em_fit(x: np.ndarray, n_comp: int, config: EMConfig, nu_fixed=None):
     mats = np.empty((n_comp, d, d))
     chols = np.empty_like(mats)
 
+    blocks = _blocks(n)
+
+    def scatter(wk, mk, cols):
+        dxt = xt[:, cols] - mk[:, None]
+        return (dxt * wk[cols]) @ dxt.T
+
+    # sums over column blocks: the first block assigns, so -0.0 stays -0.0
     def m_step(resp, w):
         for k in range(n_comp):
             rk = resp[k].sum()
             p[k] = rk / n
-            mu[k] = xt @ w[k] / w[k].sum()
-            dxt = xt - mu[k][:, None]
-            scatter = (dxt * w[k]) @ dxt.T / rk
-            mats[k], chols[k] = _safe_cholesky(0.5 * (scatter + scatter.T), config.ridge)
+            mu[k] = reduce(np.add, (xt[:, cols] @ w[k, cols] for cols in blocks)) / w[k].sum()
+            sk = reduce(np.add, (scatter(w[k], mu[k], cols) for cols in blocks)) / rk
+            mats[k], chols[k] = _safe_cholesky(0.5 * (sk + sk.T), config.ridge)
 
     m_step(resp, resp)
 
@@ -436,7 +465,7 @@ def _em_fit(x: np.ndarray, n_comp: int, config: EMConfig, nu_fixed=None):
         trace.append(ll)
         if done:
             break
-        m_step(resp, resp if u is None else resp * u)
+        m_step(resp, resp if u is None else np.multiply(resp, u, out=u))
 
     if student:
         model = StudentTMixture(p.copy(), mu.copy(), mats.copy(), nu_fixed.copy())

@@ -1,6 +1,7 @@
 import csv
 import json
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -212,6 +213,46 @@ class TestAccuracyStudy:
             assert {r.errors for r in cells} == {cells[0].errors}
         assert all(np.isnan(r.acc_mean) for r in tmix)
         assert all(np.isfinite(r.acc_mean) and r.acc_std == 0.0 for r in gmix)
+
+    def test_simulated_sample_dropped_before_msbgd(self, monkeypatch):
+        drawn, alive = [], []
+
+        def sample_model(*args):
+            sample = rb.models.sample_model(*args)
+            drawn.append(weakref.ref(sample))
+            return sample
+
+        def msbgd_solve(*args):
+            alive.append(drawn[-1]() is not None)
+            return rb.solver.msbgd_solve(*args)
+
+        monkeypatch.setattr(rb.bench, "sample_model", sample_model)
+        monkeypatch.setattr(rb.bench, "msbgd_solve", msbgd_solve)
+        spec = ExperimentSpec(
+            dims=(3,), repetitions=1, n_hist=400, sim_size=10_000,
+            settings=("true_params",),
+            solver_overrides={"sgd": {"epochs": 1}, "osbgd": {"max_iters": 20},
+                              "msbgd": {"max_iters": 4, "resample_size": 2_000}},
+            master_seed=23)
+        rows = run_accuracy_study(spec)
+        assert [r.errors for r in rows] == ["", "", ""]
+        assert alive == [False]
+
+    def test_cli_no_timing_stdout_byte_identical(self, tmp_path, capsys):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({
+            "dims": [3], "repetitions": 1, "n_hist": 400, "sim_size": 10_000,
+            "settings": ["model_free"],
+            "solver_overrides": {"model_free_sgd": {"epochs": 2},
+                                 "osbgd": {"max_iters": 30}}}))
+        outs = []
+        for flags in (["--no-timing"], ["--no-timing"], []):
+            assert main(["study", "--config", str(cfg), *flags,
+                         "--out", str(tmp_path / "out")]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "time (s)" not in outs[0] and "accuracy" in outs[0]
+        assert "time (s)" in outs[2]
 
     def test_cli_checks_output_dir_before_running(self, tmp_path, monkeypatch, capsys):
         blocker = tmp_path / "file"

@@ -1,4 +1,5 @@
 import csv
+import os
 import tracemalloc
 import warnings
 
@@ -15,7 +16,8 @@ from riskbudget import (EMConfig, GaussianMixture, ReturnSample,
                         sample_tmix, synth_dgp)
 from riskbudget.core import InputError
 from riskbudget.models import (ModelError, _kmeanspp_responsibilities,
-                               _safe_cholesky, mixture_loglik, model_from_dict)
+                               _normalize_columns, _safe_cholesky,
+                               mixture_loglik, model_from_dict)
 
 
 def make_tmix(p, mu, scales, nu):
@@ -450,6 +452,19 @@ def _assert_rel_close(got, want, rel):
     assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
 
+def _fit(family, sample, config):
+    # (weights, locations, scales, trace, the fitted model) of a 2-component fit
+    if family == "tmix":
+        model, trace = em_fit_tmix(sample, 2, np.array([4.0, 2.5]), config,
+                                   return_trace=True)
+        return model.weights, model.locations, model.scales, trace, model
+    model, trace = em_fit_gmix(sample, 2, config, return_trace=True)
+    return model.weights, model.means, model.covariances, trace, model
+
+
+BLOCK = rb.models._SAMPLE_BLOCK_ROWS
+
+
 class TestEMOracle:
     CONFIG = EMConfig(seed=0, tol=1e-8, max_iters=500)
 
@@ -478,6 +493,136 @@ class TestEMOracle:
         _assert_rel_close(trace, want_trace, 1e-12)
         want = _oracle_loglik(sample.data, fitted.weights, fitted.means, fitted._chol)
         assert abs(mixture_loglik(fitted, sample) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("family", ["tmix", "gmix"])
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_matches_row_major_oracle_across_blocks(self, tmix_demo, family, n):
+        sample = sample_tmix(tmix_demo, n, seed=n)
+        nu = np.array([4.0, 2.5]) if family == "tmix" else None
+        *fitted, trace, model = _fit(family, sample, self.CONFIG)
+        *want, want_trace = _oracle_em(sample.data, 2, self.CONFIG, nu)
+        assert len(trace) == len(want_trace)
+        for got, expected in zip(fitted, want):
+            _assert_rel_close(got, expected, 1e-9)
+        _assert_rel_close(trace, want_trace, 1e-12)
+        want_ll = _oracle_loglik(sample.data, *fitted[:2], model._chol, nu)
+        assert abs(mixture_loglik(model, sample) - want_ll) <= 1e-12 * abs(want_ll)
+
+
+# Whole-array EM as it stood before the passes went over column blocks: d x n
+# temporaries per component and an n x d standardized copy for the seeding.
+# A sample of at most one block must give its bits.
+
+def _whole_array_kmeanspp(x, n_comp, rng):
+    sd = x.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    z = (x - x.mean(axis=0)) / sd
+    n = len(z)
+    centers = [z[rng.integers(n)]]
+    for _ in range(1, n_comp):
+        d2 = np.min(np.stack([((z - c) ** 2).sum(axis=1) for c in centers]), axis=0)
+        tot = d2.sum()
+        probs = d2 / tot if tot > 0 else np.full(n, 1.0 / n)
+        centers.append(z[rng.choice(n, p=probs)])
+    d2 = np.stack([((z - c) ** 2).sum(axis=1) for c in centers])
+    resp = np.full((n_comp, n), 0.05 / n_comp)
+    resp[d2.argmin(axis=0), np.arange(n)] += 0.95
+    return resp
+
+
+def _whole_array_log_joint(xt, p, mu, chols, nu=None):
+    d, n = xt.shape
+    out = np.empty((len(p), n))
+    u = None if nu is None else np.empty((len(p), n))
+    delta = np.empty(n)
+    for k in range(len(p)):
+        z = solve_triangular(chols[k], np.eye(d), lower=True) @ (xt - mu[k][:, None])
+        np.einsum("ij,ij->j", z, z, out=delta)
+        logdet = 2.0 * np.log(np.diag(chols[k])).sum()
+        row = out[k]
+        if nu is None:
+            np.add(d * np.log(2.0 * np.pi) + logdet, delta, out=row)
+            np.multiply(0.5, row, out=row)
+            np.subtract(np.log(p[k]), row, out=row)
+        else:
+            c = (gammaln((nu[k] + d) / 2.0) - gammaln(nu[k] / 2.0)
+                 - 0.5 * d * np.log(nu[k] * np.pi) - 0.5 * logdet)
+            np.divide(delta, nu[k], out=row)
+            np.log1p(row, out=row)
+            np.multiply(0.5 * (nu[k] + d), row, out=row)
+            np.subtract(c, row, out=row)
+            np.add(np.log(p[k]), row, out=row)
+            np.add(nu[k], delta, out=u[k])
+            np.divide(nu[k] + d, u[k], out=u[k])
+    return out, u
+
+
+def _whole_array_em(x, n_comp, config, nu_fixed=None):
+    n, d = x.shape
+    resp = _whole_array_kmeanspp(x, n_comp, np.random.default_rng(config.seed))
+    xt = np.ascontiguousarray(x.T)
+    p = np.empty(n_comp)
+    mu = np.empty((n_comp, d))
+    mats = np.empty((n_comp, d, d))
+    chols = np.empty_like(mats)
+
+    def m_step(resp, w):
+        for k in range(n_comp):
+            rk = resp[k].sum()
+            p[k] = rk / n
+            mu[k] = xt @ w[k] / w[k].sum()
+            dxt = xt - mu[k][:, None]
+            scatter = (dxt * w[k]) @ dxt.T / rk
+            mats[k], chols[k] = _safe_cholesky(0.5 * (scatter + scatter.T), config.ridge)
+
+    m_step(resp, resp)
+    trace = []
+    for _ in range(config.max_iters):
+        resp, u = _whole_array_log_joint(xt, p, mu, chols, nu_fixed)
+        ll = float(_normalize_columns(resp).mean())
+        done = bool(trace) and abs(ll - trace[-1]) < config.tol * max(1.0, abs(trace[-1]))
+        trace.append(ll)
+        if done:
+            break
+        m_step(resp, resp if u is None else resp * u)
+    return p, mu, mats, trace
+
+
+class TestEMBlocks:
+    CONFIG = EMConfig(seed=0, tol=1e-8, max_iters=500)
+
+    @pytest.mark.parametrize("family", ["tmix", "gmix"])
+    @pytest.mark.parametrize("n", [300, BLOCK])
+    def test_one_block_keeps_whole_array_bits(self, tmix_demo, family, n):
+        sample = sample_tmix(tmix_demo, n, seed=n + 1)
+        nu = np.array([4.0, 2.5]) if family == "tmix" else None
+        *fitted, trace, model = _fit(family, sample, self.CONFIG)
+        *want, want_trace = _whole_array_em(sample.data, 2, self.CONFIG, nu)
+        for got, expected in zip(fitted, want):
+            assert got.tobytes() == expected.tobytes()
+        assert trace == want_trace
+        log_joint, _ = _whole_array_log_joint(
+            np.ascontiguousarray(sample.data.T), *fitted[:2], model._chol, nu)
+        assert mixture_loglik(model, sample) == float(_normalize_columns(log_joint).mean())
+
+    @pytest.mark.parametrize("n", [50, BLOCK - 1, BLOCK, BLOCK + 1, 100_003])
+    def test_seeding_matches_whole_array(self, n):
+        x = sample_tmix(synth_dgp(6, 8), n, seed=n).data
+        for n_comp in (1, 2, 3):
+            got = _kmeanspp_responsibilities(x, n_comp, np.random.default_rng(n_comp))
+            want = _whole_array_kmeanspp(x, n_comp, np.random.default_rng(n_comp))
+            assert got.tobytes() == want.tobytes()
+
+    def test_working_set_bounded(self):
+        # one d x n copy plus N x n arrays; whole-array passes read 4.9x
+        sample = sample_tmix(synth_dgp(10, 5), 200_000, seed=33)
+        tracemalloc.start()
+        try:
+            em_fit_tmix(sample, 2, np.array([4.0, 2.5]), EMConfig(seed=0, max_iters=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * sample.data.nbytes
 
 
 class TestSynthDgp:
@@ -591,6 +736,18 @@ class TestSampleCsv:
         rb.save_sample(ReturnSample(data), tmp_path / "got.csv")
         _oracle_save_sample(data, tmp_path / "want.csv", False)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [50_000, 200_000])
+    def test_memory_bounded(self, n):
+        # 65,536-row blocks of Python objects read 41.6 and 54.5 MB here
+        sample = sample_tmix(synth_dgp(10, 5), n, seed=34)
+        tracemalloc.start()
+        try:
+            rb.save_sample(sample, os.devnull)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
 
     @pytest.mark.parametrize("text, header", [
         ("1.0,2.0\r\n3.0\r\n", False),
