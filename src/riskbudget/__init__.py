@@ -7,11 +7,11 @@ from .core import (Budgets, DivergenceError, InputError,
                    InvalidAllocationError, NumericError, RawAllocation,
                    RiskContributionReport, Weights, euler_audit, l1_accuracy,
                    normalize)
-from .models import (DGPSpec, EMConfig, GaussianMixture, ReturnSample,
-                     StudentTMixture, derive_seed, em_fit_gmix, em_fit_tmix,
-                     load_model, load_sample, loss_cdf_tmix, loss_pdf_tmix,
-                     sample_gmix, sample_model, sample_tmix, save_model,
-                     save_sample, synth_dgp)
+from .models import (EMConfig, GaussianMixture, ReturnSample, StudentTMixture,
+                     derive_seed, em_fit_gmix, em_fit_tmix, load_model,
+                     load_sample, loss_cdf_tmix, loss_pdf_tmix, sample_gmix,
+                     sample_model, sample_tmix, save_model, save_sample,
+                     synth_dgp)
 from .risk import (Deviation, DeviationPlusMean, ESMeanMixture,
                    ExpectedShortfall, RiskMeasureSpec, RiskPositivityWarning,
                    Spectral, SpectralGrid, SpecError, Volatility, ZetaState,

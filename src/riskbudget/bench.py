@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Budgets, InputError, _is_finite, _is_int, l1_accuracy
-from .models import (DGPSpec, EMConfig, derive_seed, em_fit_gmix,
-                     em_fit_tmix, sample_model, sample_tmix, synth_dgp)
+from .models import (EMConfig, derive_seed, em_fit_gmix, em_fit_tmix,
+                     sample_model, sample_tmix, synth_dgp)
 from .risk import ExpectedShortfall, measure_label
 from .solver import (SolveReport, SolverConfig, config_from_dict, msbgd_solve,
                      osbgd_solve, reference_solve, sgd_solve)
@@ -68,11 +68,9 @@ class ExperimentSpec:
     n_hist: int = 3500
     sim_size: int = 1_000_000
     settings: tuple[str, ...] = ("model_free", "true_params")
-    dgp: DGPSpec = field(default_factory=DGPSpec)
     solver_overrides: dict = field(default_factory=dict)
     master_seed: int = 0
     jobs: int = 1
-    output_dir: str = "."
 
     def __post_init__(self):
         if not (isinstance(self.dims, (tuple, list)) and self.dims
@@ -90,12 +88,8 @@ class ExperimentSpec:
                 and len(set(self.settings)) == len(self.settings)):
             raise InputError("settings must be a non-empty list of distinct names "
                              f"from {tuple(SETTINGS)}")
-        if not isinstance(self.dgp, DGPSpec):
-            raise InputError("dgp must be a DGPSpec")
         if not _is_int(self.master_seed, 0):
             raise InputError("master_seed must be a non-negative integer")
-        if not isinstance(self.output_dir, str):
-            raise InputError("output_dir must be a string")
         if not isinstance(self.solver_overrides, dict):
             raise InputError("solver_overrides must be an object")
         _study_configs(self)
@@ -132,7 +126,7 @@ def _one_repetition(spec: ExperimentSpec, d: int, rep: int) -> list[tuple]:
     rep_seed = derive_seed(spec.master_seed, d, rep)
     budgets = Budgets.equal(d)
     measure = ExpectedShortfall(spec.alpha)
-    model_true = synth_dgp(d, derive_seed(rep_seed, "dgp"), spec.dgp)
+    model_true = synth_dgp(d, derive_seed(rep_seed, "dgp"))
     reference = reference_solve(measure, budgets, model_true,
                                 replace(configs["reference"], seed=rep_seed))
     theta_ref = reference.weights
@@ -148,7 +142,7 @@ def _one_repetition(spec: ExperimentSpec, d: int, rep: int) -> list[tuple]:
                 if setting == "true_params":
                     model = model_true
                 elif setting == "tmix_em":
-                    model = em_fit_tmix(hist, 2, np.asarray(spec.dgp.dof),
+                    model = em_fit_tmix(hist, 2, model_true.dof,
                                         EMConfig(seed=derive_seed(rep_seed, "em_t")))
                 else:
                     model = em_fit_gmix(hist, 2,

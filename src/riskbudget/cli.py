@@ -21,8 +21,8 @@ from .bench import (ExperimentSpec, format_bench_table, format_comparison_table,
                     run_measure_comparison, run_reference, run_sgd_trace,
                     write_bench_csv, write_comparison_csv, write_trace_csv)
 from .core import Budgets, InputError, NumericError
-from .models import (DGPSpec, EMConfig, em_fit_gmix, em_fit_tmix, load_model,
-                     load_sample, sample_model, save_model, save_sample)
+from .models import (EMConfig, em_fit_gmix, em_fit_tmix, load_model, load_sample,
+                     sample_model, save_model, save_sample)
 from .risk import measure_from_dict
 from .solver import SolverConfig, config_from_dict, solve
 
@@ -65,20 +65,11 @@ def experiment_from_dict(doc: dict, args) -> ExperimentSpec:
     if not isinstance(doc or {}, dict):
         raise InputError("--config must be a JSON object")
     doc = dict(doc or {})
-    if "dgp" in doc:
-        if not isinstance(doc["dgp"], dict):
-            raise InputError('the "dgp" entry must be an object')
-        try:
-            doc["dgp"] = DGPSpec(**{k: tuple(v) if isinstance(v, list) else v
-                                    for k, v in doc["dgp"].items()})
-        except TypeError as exc:
-            raise InputError(f"bad dgp spec: {exc}") from exc
     for key in ("dims", "settings"):
         if key in doc and isinstance(doc[key], list):
             doc[key] = tuple(doc[key])
     doc.setdefault("master_seed", args.seed)
     doc.setdefault("jobs", args.jobs)
-    doc.setdefault("output_dir", args.out)
     try:
         return ExperimentSpec(**doc)
     except TypeError as exc:
@@ -147,10 +138,9 @@ def _cmd_trace(args) -> int:
 def _cmd_study(args) -> int:
     doc = _load_json(args.config) if args.config else {}
     spec = experiment_from_dict(doc, args)
-    os.makedirs(spec.output_dir, exist_ok=True)
+    path = _out_path(args, "study.csv")
     rows = run_accuracy_study(spec)
-    write_bench_csv(rows, os.path.join(spec.output_dir, "study.csv"),
-                    include_timing=not args.no_timing)
+    write_bench_csv(rows, path, include_timing=not args.no_timing)
     print(format_bench_table(rows, include_timing=not args.no_timing))
     return 0
 

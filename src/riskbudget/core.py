@@ -13,12 +13,12 @@ import numpy as np
 SIMPLEX_ATOL = 1e-12
 
 
-class InvalidAllocationError(ValueError):
-    """An allocation, weight, or budget vector violates its invariants."""
-
-
 class InputError(ValueError):
     """Malformed user input (files, configs, dimensions)."""
+
+
+class InvalidAllocationError(InputError):
+    """An allocation, weight, or budget vector violates its invariants."""
 
 
 class NumericError(RuntimeError):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln, poch, stdtr
 
-from .core import InputError, NumericError, _is_finite, _values_of
+from .core import InputError, NumericError, _values_of
 
 PROB_ATOL = 1e-12
 SYM_ATOL = 1e-12
@@ -500,80 +500,37 @@ def mixture_loglik(model, sample: ReturnSample) -> float:
 # ---------------------------------------------------------------------------
 # synthetic data-generating process
 
-@dataclass(frozen=True)
-class DGPSpec:
-    """Magnitudes for the synthetic two-regime ground-truth generator.
+def synth_dgp(d: int, seed: int) -> StudentTMixture:
+    """Build a random but valid two-regime Student-t mixture of dimension d.
 
-    Defaults mirror daily-equity-return scales: locations of order 1e-3 and
-    scale matrices of order 1e-4, with a calm and a stressed regime.
-    """
-
-    loc_scale: float = 1e-3
-    var_scale: float = 1e-4
-    avg_corr: float = 0.3
-    weight_range: tuple[float, float] = (0.6, 0.8)
-    calm_loc_range: tuple[float, float] = (0.5, 3.0)
-    stressed_loc_range: tuple[float, float] = (1.0, 2.0)
-    vol_jitter: tuple[float, float] = (0.7, 1.3)
-    stressed_vol_mult: float = 2.0
-    dof: tuple[float, float] = (4.0, 2.5)
-
-    def __post_init__(self):
-        for name in ("loc_scale", "var_scale", "avg_corr", "stressed_vol_mult"):
-            if not _is_finite(getattr(self, name)):
-                raise InputError(f"dgp {name} must be a finite number")
-        for name in ("weight_range", "calm_loc_range", "stressed_loc_range",
-                     "vol_jitter", "dof"):
-            pair = getattr(self, name)
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                    and all(map(_is_finite, pair))):
-                raise InputError(f"dgp {name} must be two finite numbers")
-        (w_lo, w_hi), (j_lo, j_hi) = self.weight_range, self.vol_jitter
-        for ok, rule in (
-                (self.loc_scale > 0, "loc_scale must be > 0"),
-                (self.var_scale > 0, "var_scale must be > 0"),
-                (self.stressed_vol_mult > 0, "stressed_vol_mult must be > 0"),
-                (0 <= self.avg_corr < 1, "avg_corr must lie in [0, 1)"),
-                (0 < w_lo <= w_hi < 1, "weight_range must be low <= high inside (0, 1)"),
-                (0 < j_lo <= j_hi, "vol_jitter must be 0 < low <= high"),
-                (self.calm_loc_range[0] <= self.calm_loc_range[1],
-                 "calm_loc_range must be low <= high"),
-                (self.stressed_loc_range[0] <= self.stressed_loc_range[1],
-                 "stressed_loc_range must be low <= high"),
-                (min(self.dof) > 1, "dof must exceed 1")):
-            if not ok:
-                raise InputError(f"dgp {rule}")
-
-
-def synth_dgp(d: int, seed: int, spec: DGPSpec = DGPSpec()) -> StudentTMixture:
-    """Build a random but valid two-component Student-t mixture of dimension d.
-
-    Scale matrices are built as A'A plus a small diagonal, with a common
-    factor giving the configured average correlation, so Cholesky always
-    succeeds. Deterministic per seed.
+    Magnitudes mirror daily equity returns: locations of order 1e-3 and scale
+    matrices of order 1e-4, a calm regime of weight 0.6-0.8 and a stressed
+    one with twice the volatility, dof (4, 2.5). Scale matrices are built as
+    A'A plus a small diagonal, with a common factor giving an average
+    correlation of 0.3, so Cholesky always succeeds. Deterministic per seed.
     """
     if d < 2:
         raise InputError("need at least two assets")
     rng = np.random.default_rng(seed)
-    w1 = rng.uniform(*spec.weight_range)
-    mu_calm = rng.uniform(*spec.calm_loc_range, size=d) * spec.loc_scale
-    mu_stressed = -rng.uniform(*spec.stressed_loc_range, size=d) * spec.loc_scale
-    beta = np.sqrt(spec.avg_corr / (1.0 - spec.avg_corr))
+    w1 = rng.uniform(0.6, 0.8)
+    mu_calm = rng.uniform(0.5, 3.0, size=d) * 1e-3
+    mu_stressed = -rng.uniform(1.0, 2.0, size=d) * 1e-3
+    beta = np.sqrt(0.3 / (1.0 - 0.3))
     scales = []
-    for mult in (1.0, spec.stressed_vol_mult):
+    for mult in (1.0, 2.0):
         k = d + 2
         common = rng.standard_normal((k, 1))
         a = beta * common + rng.standard_normal((k, d))
         m = a.T @ a
         dg = np.sqrt(np.diag(m))
         corr = m / np.outer(dg, dg)
-        vols = np.sqrt(spec.var_scale) * mult * rng.uniform(*spec.vol_jitter, size=d)
-        scales.append(corr * np.outer(vols, vols) + (1e-8 * spec.var_scale) * np.eye(d))
+        vols = np.sqrt(1e-4) * mult * rng.uniform(0.7, 1.3, size=d)
+        scales.append(corr * np.outer(vols, vols) + (1e-8 * 1e-4) * np.eye(d))
     return StudentTMixture(
         np.array([w1, 1.0 - w1]),
         np.vstack([mu_calm, mu_stressed]),
         np.array(scales),
-        np.array(spec.dof),
+        np.array([4.0, 2.5]),
     )
 
 

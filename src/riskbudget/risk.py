@@ -11,13 +11,13 @@ power form for deviation measures.
 from __future__ import annotations
 
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import Budgets, InputError, NumericError, _values_of
+from .core import Budgets, InputError, NumericError, _is_finite, _is_int, _values_of
 from .models import StudentTMixture, _portfolio_params, _t_cdf, _t_pdf
 
 
@@ -53,6 +53,11 @@ class _Measure:
     def risk(self, x: np.ndarray) -> float:
         return self.objective_and_weights(x)[0] ** (1.0 / self.power)
 
+    def _check_finite(self, *names) -> None:
+        for name in names:
+            if not _is_finite(getattr(self, name)):
+                raise SpecError(f"{name} must be a finite number")
+
 
 class _RUMeasure(_Measure):
     """beta * ES_alpha + delta * E through the Rockafellar-Uryasev form."""
@@ -60,6 +65,9 @@ class _RUMeasure(_Measure):
     _probe_positivity = True
 
     def __post_init__(self):
+        self._check_finite("alpha", "beta", "delta")
+        if self.beta <= 0.0:
+            raise SpecError("beta must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise SpecError("alpha must lie in (0, 1)")
 
@@ -90,6 +98,7 @@ class _HingeMeasure(_Measure):
     delta = 0.0
 
     def __post_init__(self):
+        self._check_finite("a", "b", "p", "delta")
         if self.a <= 0.0 or self.b <= 0.0:
             raise SpecError("hinge slopes a, b must be positive")
         if self.p < 1.0:
@@ -171,11 +180,6 @@ class ESMeanMixture(_RUMeasure):
     delta: float
     alpha: float
 
-    def __post_init__(self):
-        if self.beta <= 0.0:
-            raise SpecError("beta must be positive")
-        super().__post_init__()
-
     def label(self) -> str:
         return f"es_mean({self.beta:g}*es({self.alpha:g})+{self.delta:g}*mean)"
 
@@ -196,11 +200,14 @@ class Spectral(_Measure):
     subtract_mean: bool = False
 
     def __post_init__(self):
+        self._check_finite("c")
         # c = 1 makes h constant, violating h(0) = 0; the family needs c < 1
         if not 0.0 < self.c < 1.0:
             raise SpecError("spectral exponent c must lie in (0, 1)")
-        if self.nodes < 1:
-            raise SpecError("need at least one discretization node")
+        if not _is_int(self.nodes, 1):
+            raise SpecError("nodes must be an integer of at least 1")
+        if not isinstance(self.subtract_mean, (bool, np.bool_)):
+            raise SpecError("subtract_mean must be true or false")
 
     def label(self) -> str:
         suffix = "-mean" if self.subtract_mean else ""
@@ -308,11 +315,11 @@ def measure_from_dict(doc: dict) -> RiskMeasureSpec:
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise SpecError(f"unknown measure kind {kind!r}")
-    known = {**cls._json_defaults, **doc}
-    for f in fields(cls):
-        if f.name not in known and f.default is MISSING:
-            raise SpecError(f"measure {kind!r} missing parameter {f.name!r}")
-    return cls(**{f.name: known[f.name] for f in fields(cls) if f.name in known})
+    params = {k: v for k, v in doc.items() if k != "measure"}
+    try:
+        return cls(**{**cls._json_defaults, **params})
+    except TypeError as exc:
+        raise SpecError(f"bad {kind!r} measure: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -646,25 +653,6 @@ def volatility_value_and_gradient(sigma, y):
 
 # ---------------------------------------------------------------------------
 # exact inner minimization over the threshold on a fixed sample
-
-def golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Golden-section minimizer of a unimodal function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol * (1.0 + abs(a) + abs(b)):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
 
 def _node_rank(n: int, level: float) -> int:
     """1-based rank ceil(n * level), clipped to [1, n], of a piecewise-linear

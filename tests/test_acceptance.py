@@ -22,11 +22,30 @@ from riskbudget.bench import ExperimentSpec, run_accuracy_study, run_measure_com
 from riskbudget.cli import main
 from riskbudget.models import StudentTMixture
 from riskbudget.risk import (deviation_objective, deviation_subgradient,
-                             empirical_risk, golden_section, ru_objective,
-                             ru_subgradient, spectral_grid, spectral_objective,
+                             empirical_risk, ru_objective, ru_subgradient,
+                             spectral_grid, spectral_objective,
                              spectral_subgradient)
 from conftest import (CALM_VOL_ROW, STRESSED_ES_ROW, STRESSED_VOL_ROW,
                       TABLE_CONTRIBUTION, TABLE_WEIGHTS)
+
+
+def golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
+    """Golden-section minimizer of a unimodal function on [lo, hi]."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a) > tol * (1.0 + abs(a) + abs(b)):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
 
 
 @contextmanager

@@ -15,6 +15,11 @@ from riskbudget.bench import (BenchRow, ExperimentSpec, format_reference_table,
 from riskbudget.cli import main
 from riskbudget.models import model_to_dict
 
+# a valid study that runs in well under a second
+TINY_STUDY = {"dims": [2], "repetitions": 1, "n_hist": 200, "settings": ["model_free"],
+              "solver_overrides": {"model_free_sgd": {"epochs": 1},
+                                   "osbgd": {"max_iters": 5}}}
+
 
 @pytest.fixture()
 def demo_model_path():
@@ -374,9 +379,13 @@ class TestFitAndSampleCommands:
         ("study", {"settings": "model_free"}), ("study", {"settings": []}),
         ("study", {"solver_overrides": {"osbgd": 5}}), ("study", {"output_dir": 5}),
         ("study", {"master_seed": 1.0}), ("study", {"settings": ["model_free", "model_free"]}),
-        ("study", {"dims": [3, 3]})])
+        ("study", {"dims": [3, 3]}),
+        # an unknown key on an otherwise valid study
+        ("study", {**TINY_STUDY, "dgp": {}}),
+        ("study", {**TINY_STUDY, "output_dir": "elsewhere"})])
     def test_malformed_study_or_fit_input_exits_1(self, tmp_path, demo_model_path,
-                                                  capsys, command, doc):
+                                                  capsys, monkeypatch, command, doc):
+        monkeypatch.chdir(tmp_path)
         if command == "fit":
             sample = rb.sample_model(rb.load_model(demo_model_path), 500, seed=3)
             rb.save_sample(sample, tmp_path / "s.csv")

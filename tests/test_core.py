@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from riskbudget import (Budgets, InvalidAllocationError, NumericError,
-                        RawAllocation, Weights, euler_audit, l1_accuracy,
-                        normalize)
+from riskbudget import (Budgets, InputError, InvalidAllocationError,
+                        NumericError, RawAllocation, Weights, euler_audit,
+                        l1_accuracy, normalize)
 
 
 class TestNormalize:
@@ -48,6 +48,8 @@ class TestSimplexTypes:
         Budgets(np.array([0.5, 0.5 + 5e-13]))
         with pytest.raises(InvalidAllocationError):
             Budgets(np.array([0.5, 0.51]))
+        with pytest.raises(InputError):
+            Budgets(np.array([0.5, 0.6]))
 
     def test_weights_positive(self):
         with pytest.raises(InvalidAllocationError):

@@ -15,6 +15,7 @@ from riskbudget import (Budgets, Deviation, DeviationPlusMean, ESMeanMixture,
                         ExpectedShortfall, Spectral, SpectralGrid, SpecError,
                         Volatility, empirical_es, empirical_var_method7,
                         es_tmix, loss_cdf_tmix, loss_pdf_tmix, var_tmix)
+from riskbudget.cli import main
 from riskbudget.models import StudentTMixture, _portfolio_params, _t_cdf, _t_pdf
 from riskbudget.risk import (_es_tmix_value_grad, deviation_objective,
                              deviation_subgradient, empirical_risk,
@@ -68,6 +69,25 @@ class TestMeasureSpecs:
                  DeviationPlusMean(a=1.0, b=1.0, p=1.0, delta=1.0)]
         for spec in specs:
             assert rb.measure_from_dict(rb.measure_to_dict(spec)) == spec
+
+    @pytest.mark.parametrize("doc", [
+        {"measure": "es", "alpha": "x"},
+        {"measure": "es_mean", "alpha": 0.9, "delta": "x"},
+        {"measure": "spectral", "c": 0.5, "nodes": 2.5},
+        {"measure": "spectral", "c": 0.5, "nodes": True},
+        {"measure": "spectral", "c": 0.5, "subtract_mean": "false"},
+        {"measure": "spectral", "c": 0.5, "node": 5},
+        {"measure": "deviation", "a": float("nan"), "b": 1, "p": 1}])
+    def test_bad_measure_document_rejected(self, tmp_path, capsys, doc):
+        with pytest.raises(SpecError):
+            rb.measure_from_dict(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": doc, "solver": {"max_iters": 5}}))
+        code = main(["solve", "--method", "osbgd", "--sample-size", "2000",
+                     "--model", str(rb.bundled_model_path("tmix4_demo")),
+                     "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestVarTmix:
