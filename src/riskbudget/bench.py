@@ -270,6 +270,8 @@ def run_measure_comparison(model, measures, budgets: Budgets,
     Returns (rows, warnings) where rows are (label, weights, total_risk) and
     warnings maps labels to positivity-warning messages.
     """
+    if not measures:
+        raise InputError("compare needs at least one measure")
     base_cfg = config or SolverConfig(method="sgd", batch_size=128, epochs=10)
     sample = sample_model(model, sample_size, derive_seed(seed, "compare", "sample"))
     rows = []

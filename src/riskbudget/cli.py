@@ -40,6 +40,14 @@ def _load_json(path) -> dict:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
+def _load_config(args) -> dict:
+    """The --config document, {} without one; it must be a JSON object."""
+    doc = _load_json(args.config) if args.config else {}
+    if not isinstance(doc, dict):
+        raise InputError("--config must be a JSON object")
+    return doc
+
+
 def _parse_budgets(text: str | None, d: int) -> Budgets:
     if text is None:
         return Budgets.equal(d)
@@ -53,18 +61,14 @@ def _parse_budgets(text: str | None, d: int) -> Budgets:
 def _solver_config(args, doc: dict | None = None) -> SolverConfig:
     """Solver settings from the "solver" entry of the --config document (read
     from args.config unless given), seeded by --seed unless the entry sets one."""
-    if doc is None:
-        doc = _load_json(args.config) if args.config else {}
-    solver = (doc.get("solver") or {}) if isinstance(doc, dict) else None
+    solver = (_load_config(args) if doc is None else doc).get("solver") or {}
     if not isinstance(solver, dict):
-        raise InputError('--config must be a JSON object whose "solver" entry is an object')
+        raise InputError('the "solver" entry of --config must be an object')
     return config_from_dict({"seed": args.seed, **solver})
 
 
 def experiment_from_dict(doc: dict, args) -> ExperimentSpec:
-    if not isinstance(doc or {}, dict):
-        raise InputError("--config must be a JSON object")
-    doc = dict(doc or {})
+    doc = dict(doc)
     for key in ("dims", "settings"):
         if key in doc and isinstance(doc[key], list):
             doc[key] = tuple(doc[key])
@@ -99,7 +103,7 @@ def _cmd_reference(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    doc = _load_json(args.config) if args.config else {}
+    doc = _load_config(args)
     if "measure" not in doc:
         raise InputError("solve needs a --config JSON with a 'measure' entry")
     spec = measure_from_dict(doc["measure"])
@@ -136,8 +140,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    doc = _load_json(args.config) if args.config else {}
-    spec = experiment_from_dict(doc, args)
+    spec = experiment_from_dict(_load_config(args), args)
     path = _out_path(args, "study.csv")
     rows = run_accuracy_study(spec)
     write_bench_csv(rows, path, include_timing=not args.no_timing)

@@ -14,13 +14,14 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln, poch, stdtr
 
-from .core import InputError, NumericError, _values_of
+from .core import InputError, NumericError, _is_finite, _is_int, _values_of
 
 PROB_ATOL = 1e-12
 SYM_ATOL = 1e-12
 _CSV_BLOCK_ROWS = 4096       # rows formatted as Python objects at a time
 # sampler rows, and EM columns, per block: 4096 x d floats stay in cache
 _SAMPLE_BLOCK_ROWS = 4096
+_EM_RIDGE = 1e-10   # EM's diagonal boost, scaled by trace/d, on Cholesky failure
 
 
 class ModelError(InputError):
@@ -55,38 +56,38 @@ def _check_spd(mats, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class StudentTMixture:
-    """Mixture of multivariate Student-t components.
+class _Mixture:
+    """Mixture of location-scale components, Gaussian or Student-t.
 
     weights : (N,) mixture probabilities, positive, summing to one
     locations : (N, d) component location vectors
     scales : (N, d, d) symmetric positive-definite scale matrices
-    dof : (N,) degrees of freedom, each > 1 so losses have a finite mean
+    dof : (N,) Student-t degrees of freedom, each > 1 so losses have a
+        finite mean; None (a class attribute) for Gaussian components
     """
 
     weights: np.ndarray
     locations: np.ndarray
     scales: np.ndarray
-    dof: np.ndarray
 
     def __post_init__(self):
         p = _check_mixture_prob(self.weights)
         mu = np.atleast_2d(np.asarray(self.locations, dtype=float))
         scales, chol = _check_spd(self.scales, "scale matrices")
-        nu = np.asarray(self.dof, dtype=float)
-        if not (len(p) == len(mu) == len(scales) == len(nu)):
+        arrays = {"weights": p, "locations": mu, "scales": scales}
+        if self.dof is not None:
+            arrays["dof"] = nu = np.asarray(self.dof, dtype=float)
+        if len({len(arr) for arr in arrays.values()}) != 1:
             raise ModelError("component count mismatch across parameters")
         if mu.shape[1] != scales.shape[1]:
             raise ModelError("location/scale dimension mismatch")
         if not np.all(np.isfinite(mu)):
             raise ModelError("locations must be finite")
-        if not np.all(np.isfinite(nu) & (nu > 1.0)):
+        if self.dof is not None and not np.all(np.isfinite(nu) & (nu > 1.0)):
             raise ModelError("degrees of freedom must be finite and exceed 1")
-        for name, arr in (("weights", p), ("locations", mu), ("scales", scales), ("dof", nu)):
+        for name, arr in (*arrays.items(), ("_chol", chol)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        chol.setflags(write=False)
-        object.__setattr__(self, "_chol", chol)
 
     @property
     def dim(self) -> int:
@@ -97,61 +98,34 @@ class StudentTMixture:
         return len(self.weights)
 
     def covariance(self) -> np.ndarray:
-        """Covariance of the mixture (requires all dof > 2)."""
-        if np.any(self.dof <= 2.0):
-            raise ModelError("covariance undefined: some dof <= 2")
-        comp_cov = self.scales * (self.dof / (self.dof - 2.0))[:, None, None]
-        return _mixture_covariance(self.weights, self.locations, comp_cov)
+        """Covariance of the mixture (Student-t: requires all dof > 2)."""
+        comp_cov = self.scales
+        if self.dof is not None:
+            if np.any(self.dof <= 2.0):
+                raise ModelError("covariance undefined: some dof <= 2")
+            comp_cov = self.scales * (self.dof / (self.dof - 2.0))[:, None, None]
+        centered = self.locations - self.mean()
+        between = np.einsum("k,ki,kj->ij", self.weights, centered, centered)
+        return np.einsum("k,kij->ij", self.weights, comp_cov) + between
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.locations
 
 
 @dataclass(frozen=True)
-class GaussianMixture:
-    """Mixture of multivariate Gaussian components."""
+class StudentTMixture(_Mixture):
+    """Mixture of multivariate Student-t components."""
 
-    weights: np.ndarray
-    means: np.ndarray
-    covariances: np.ndarray
-
-    def __post_init__(self):
-        p = _check_mixture_prob(self.weights)
-        mu = np.atleast_2d(np.asarray(self.means, dtype=float))
-        covs, chol = _check_spd(self.covariances, "covariance matrices")
-        if not (len(p) == len(mu) == len(covs)):
-            raise ModelError("component count mismatch across parameters")
-        if mu.shape[1] != covs.shape[1]:
-            raise ModelError("mean/covariance dimension mismatch")
-        if not np.all(np.isfinite(mu)):
-            raise ModelError("means must be finite")
-        for name, arr in (("weights", p), ("means", mu), ("covariances", covs)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        chol.setflags(write=False)
-        object.__setattr__(self, "_chol", chol)
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
-    @property
-    def n_components(self) -> int:
-        return len(self.weights)
-
-    def covariance(self) -> np.ndarray:
-        return _mixture_covariance(self.weights, self.means, self.covariances)
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.means
+    kind = "tmix"
+    dof: np.ndarray
 
 
-def _mixture_covariance(p, mu, comp_cov) -> np.ndarray:
-    mbar = p @ mu
-    centered = mu - mbar
-    between = np.einsum("k,ki,kj->ij", p, centered, centered)
-    within = np.einsum("k,kij->ij", p, comp_cov)
-    return within + between
+@dataclass(frozen=True)
+class GaussianMixture(_Mixture):
+    """Mixture of multivariate Gaussian components; scales are covariances."""
+
+    kind = "gmix"
+    dof = None
 
 
 @dataclass(frozen=True)
@@ -187,23 +161,27 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _sample_mixture(weights, locations, chols, dof, n: int, seed: int) -> ReturnSample:
-    """n i.i.d. returns of a Student-t mixture, or of a Gaussian one for dof None.
+def sample_model(model: _Mixture, n: int, seed: int) -> ReturnSample:
+    """Draw n i.i.d. returns from a Gaussian or Student-t mixture.
 
-    The random numbers come first, one generator call each: the components,
-    an n x d standard normal z and, for Student-t, V ~ chi2(nu) per row. The
-    rows are then transformed in place over z, in blocks of _SAMPLE_BLOCK_ROWS:
-    per block and component, one gather of that component's rows (take), one
-    matmul, the Student scale and the location in place, and a write back
-    over their normals. An output row needs only its own normal row, and it
-    sees the same arithmetic as when its component's rows are transformed
-    alone, so the bytes do not depend on the block size.
+    Each draw picks a component from the mixture probabilities, then applies
+    location + chol(scale) z, times sqrt(nu/V) with V ~ chi2(nu) for a
+    Student-t component. The random numbers come first, one generator call
+    each: the components, an n x d standard normal z and, for Student-t, V
+    per row. The rows are then transformed in place over z, in blocks of
+    _SAMPLE_BLOCK_ROWS: per block and component, one gather of that
+    component's rows (take), one matmul, the Student scale and the location
+    in place, and a write back over their normals. An output row needs only
+    its own normal row, and it sees the same arithmetic as when its
+    component's rows are transformed alone, so the same seed gives the same
+    bytes whatever the block size.
     """
     if n < 1:
         raise InputError("sample size must be at least 1")
+    locations, chols, dof = model.locations, model._chol, model.dof
     n_comp, d = locations.shape
     rng = np.random.default_rng(seed)
-    comp = rng.choice(n_comp, size=n, p=weights)
+    comp = rng.choice(n_comp, size=n, p=model.weights)
     z = rng.standard_normal((n, d))
     if dof is not None:
         nu = dof[comp]
@@ -234,28 +212,8 @@ def _sample_mixture(weights, locations, chols, dof, n: int, seed: int) -> Return
     return ReturnSample(z)
 
 
-def sample_tmix(model: StudentTMixture, n: int, seed: int) -> ReturnSample:
-    """Draw n i.i.d. returns from a Student-t mixture.
-
-    Each draw picks a component from the mixture probabilities, then applies
-    the normal/chi-square representation location + chol(scale) z sqrt(nu/V)
-    with V ~ chi2(nu). The rows are transformed block by block over their
-    normals; the same seed gives the same bytes.
-    """
-    return _sample_mixture(model.weights, model.locations, model._chol, model.dof, n, seed)
-
-
-def sample_gmix(model: GaussianMixture, n: int, seed: int) -> ReturnSample:
-    """Draw n i.i.d. returns from a Gaussian mixture; see sample_tmix."""
-    return _sample_mixture(model.weights, model.means, model._chol, None, n, seed)
-
-
-def sample_model(model, n: int, seed: int) -> ReturnSample:
-    if isinstance(model, StudentTMixture):
-        return sample_tmix(model, n, seed)
-    if isinstance(model, GaussianMixture):
-        return sample_gmix(model, n, seed)
-    raise InputError(f"unsupported model type {type(model).__name__}")
+# each family's name for the one sampler
+sample_tmix = sample_gmix = sample_model
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +263,14 @@ class EMConfig:
     tol: float = 1e-8          # relative gain of per-observation log-likelihood
     max_iters: int = 500
     seed: int = 0
-    ridge: float = 1e-10       # diagonal boost, scaled by trace/d, on Cholesky failure
+
+    def __post_init__(self):
+        if not (_is_finite(self.tol) and self.tol >= 0.0):
+            raise InputError("EM tol must be a finite number of at least 0")
+        if not _is_int(self.max_iters, 1):
+            raise InputError("EM max_iters must be an integer of at least 1")
+        if not _is_int(self.seed, 0):
+            raise InputError("EM seed must be a non-negative integer")
 
 
 class FitError(NumericError):
@@ -451,7 +416,7 @@ def _em_fit(x: np.ndarray, n_comp: int, config: EMConfig, nu_fixed=None):
             p[k] = rk / n
             mu[k] = reduce(np.add, (xt[:, cols] @ w[k, cols] for cols in blocks)) / w[k].sum()
             sk = reduce(np.add, (scatter(w[k], mu[k], cols) for cols in blocks)) / rk
-            mats[k], chols[k] = _safe_cholesky(0.5 * (sk + sk.T), config.ridge)
+            mats[k], chols[k] = _safe_cholesky(0.5 * (sk + sk.T), _EM_RIDGE)
 
     m_step(resp, resp)
 
@@ -467,10 +432,8 @@ def _em_fit(x: np.ndarray, n_comp: int, config: EMConfig, nu_fixed=None):
             break
         m_step(resp, resp if u is None else np.multiply(resp, u, out=u))
 
-    if student:
-        model = StudentTMixture(p.copy(), mu.copy(), mats.copy(), nu_fixed.copy())
-    else:
-        model = GaussianMixture(p.copy(), mu.copy(), mats.copy())
+    fields = (p.copy(), mu.copy(), mats.copy())
+    model = StudentTMixture(*fields, nu_fixed.copy()) if student else GaussianMixture(*fields)
     return model, trace
 
 
@@ -490,10 +453,8 @@ def em_fit_gmix(sample: ReturnSample, n_components: int,
 
 def mixture_loglik(model, sample: ReturnSample) -> float:
     """Per-observation log-likelihood of a sample under a fitted mixture."""
-    student = isinstance(model, StudentTMixture)
     log_joint, _ = _log_joint(np.ascontiguousarray(sample.data.T), model.weights,
-                              model.locations if student else model.means,
-                              model._chol, model.dof if student else None)
+                              model.locations, model._chol, model.dof)
     return float(_normalize_columns(log_joint).mean())
 
 
@@ -537,23 +498,12 @@ def synth_dgp(d: int, seed: int) -> StudentTMixture:
 # ---------------------------------------------------------------------------
 # file formats
 
-def model_to_dict(model) -> dict:
-    if isinstance(model, StudentTMixture):
-        return {
-            "type": "tmix",
-            "p": model.weights.tolist(),
-            "mu": model.locations.tolist(),
-            "scale": model.scales.tolist(),
-            "nu": model.dof.tolist(),
-        }
-    if isinstance(model, GaussianMixture):
-        return {
-            "type": "gmix",
-            "p": model.weights.tolist(),
-            "mu": model.means.tolist(),
-            "scale": model.covariances.tolist(),
-        }
-    raise InputError(f"unsupported model type {type(model).__name__}")
+def model_to_dict(model: _Mixture) -> dict:
+    doc = {"type": model.kind, "p": model.weights.tolist(),
+           "mu": model.locations.tolist(), "scale": model.scales.tolist()}
+    if model.dof is not None:
+        doc["nu"] = model.dof.tolist()
+    return doc
 
 
 def model_from_dict(doc: dict):

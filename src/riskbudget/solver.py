@@ -35,8 +35,8 @@ from scipy.optimize import minimize
 from .core import (Budgets, DivergenceError, InputError, NumericError,
                    RawAllocation, RiskContributionReport, Weights, _is_finite,
                    _is_int, euler_audit, l1_accuracy, normalize)
-from .models import (GaussianMixture, ReturnSample, StudentTMixture,
-                     derive_seed, sample_model)
+from .models import (ReturnSample, StudentTMixture, _Mixture, derive_seed,
+                     sample_model)
 from .risk import (ESMeanMixture, ExpectedShortfall, RiskMeasureSpec, Spectral,
                    SpecError, Volatility, ZetaState, _es_tmix_value_grad,
                    deviation_objective, deviation_subgradient,
@@ -584,6 +584,6 @@ def _as_sample(data) -> ReturnSample:
 
 
 def _as_model(data):
-    if isinstance(data, (StudentTMixture, GaussianMixture)):
+    if isinstance(data, _Mixture):
         return data
     raise InputError("this method needs a parametric model")

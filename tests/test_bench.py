@@ -294,6 +294,19 @@ class TestMeasureComparison:
         parsed = [float(v) for v in rows[1][1:]]
         assert abs(sum(parsed[:-1]) - 1.0) < 1e-9
 
+    def test_cli_empty_measure_list_exits_1_before_sampling(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def sample_model(*args):
+            raise AssertionError("compare drew a sample for no measures")
+
+        monkeypatch.setattr(rb.bench, "sample_model", sample_model)
+        mpath = tmp_path / "measures.json"
+        mpath.write_text("[]")
+        code = main(["compare", "--model", str(rb.bundled_model_path("gmix3_calm")),
+                     "--measures", str(mpath), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+
 
 def _write_cfg(tmp_path):
     path = tmp_path / "cfg.json"
@@ -345,11 +358,12 @@ class TestFitAndSampleCommands:
         assert code == 0
         assert "asset 1: 0.1795" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("doc", [[1], {"solver": [1]}, {"solver": "fast"}])
+    @pytest.mark.parametrize("doc", [[1], {"solver": [1]}, {"solver": "fast"}, 5,
+                                     ["measure"]])
     def test_malformed_solver_entry_exits_1(self, tmp_path, demo_model_path, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        for command in ("reference", "trace"):
+        for command in ("reference", "trace", "solve"):
             code = main([command, "--model", demo_model_path, "--config", str(cfg),
                          "--out", str(tmp_path)])
             assert code == 1

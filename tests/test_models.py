@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -15,7 +16,7 @@ from riskbudget import (EMConfig, GaussianMixture, ReturnSample,
                         loss_cdf_tmix, loss_pdf_tmix, sample_gmix,
                         sample_tmix, synth_dgp)
 from riskbudget.core import InputError
-from riskbudget.models import (ModelError, _kmeanspp_responsibilities,
+from riskbudget.models import (_EM_RIDGE, ModelError, _kmeanspp_responsibilities,
                                _normalize_columns, _safe_cholesky,
                                mixture_loglik, model_from_dict)
 
@@ -59,8 +60,8 @@ class TestModelValidation:
         while isinstance(target[0], list):
             target = target[0]
         target[0] = bad
-        names = {"p": "probabilities", "mu": "locations|means",
-                 "scale": "scale|covariance", "nu": "degrees of freedom"}
+        names = {"p": "probabilities", "mu": "locations", "scale": "scale",
+                 "nu": "degrees of freedom"}
         with pytest.raises(ModelError, match=names[field]):
             model_from_dict(doc)
 
@@ -68,11 +69,40 @@ class TestModelValidation:
         # covariance of a two-point mixture: within + between parts
         m = gmix_stressed
         p = m.weights
-        mbar = p @ m.means
-        want = sum(p[k] * (m.covariances[k]
-                           + np.outer(m.means[k] - mbar, m.means[k] - mbar))
+        mbar = p @ m.locations
+        want = sum(p[k] * (m.scales[k]
+                           + np.outer(m.locations[k] - mbar, m.locations[k] - mbar))
                    for k in range(2))
         assert np.abs(m.covariance() - want).max() < 1e-15
+
+
+# Bad arrays, each with the message that both families give for it.
+SHARED_CHECKS = [
+    ({"scale": [[[1.0, 2.0], [2.0, 1.0]], np.eye(2)]},
+     "scale matrices not positive-definite"),
+    ({"scale": [[[1.0, 0.5], [0.2, 1.0]], np.eye(2)]}, "scale matrices asymmetric by 0.3"),
+    ({"mu": [[np.nan, 0.1], [0.2, 0.0]]}, "locations must be finite"),
+    ({"p": [0.6, 0.3]}, "mixture probabilities must be positive and sum to one"),
+    ({"mu": np.zeros((3, 2))}, "component count mismatch across parameters"),
+]
+
+
+@pytest.mark.parametrize("family", [StudentTMixture, GaussianMixture])
+def test_families_share_one_body(family):
+    def build(p=(0.5, 0.5), mu=((0.0, 0.1), (0.2, 0.0)), scale=(np.eye(2), 2.0 * np.eye(2))):
+        arrays = [np.asarray(a, float) for a in (p, mu, scale)]
+        if family is StudentTMixture:
+            return family(*arrays, np.array([4.0, 5.0]))
+        return family(*arrays)
+
+    for bad, message in SHARED_CHECKS:
+        with pytest.raises(ModelError, match="^" + re.escape(message)):
+            build(**bad)
+    model = build()
+    assert (model.dof is None) == (family is GaussianMixture)
+    want = rb.sample_model(model, 5000, seed=3).data.tobytes()
+    assert sample_tmix(model, 5000, seed=3).data.tobytes() == want
+    assert sample_gmix(model, 5000, seed=3).data.tobytes() == want
 
 
 class TestSampleTmix:
@@ -121,7 +151,7 @@ class TestSampleGmix:
     def test_single_component_covariance(self, gmix_calm):
         x = sample_gmix(gmix_calm, 10 ** 5, seed=3).data
         cov = np.cov(x.T)
-        target = gmix_calm.covariances[0]
+        target = gmix_calm.scales[0]
         assert np.abs(cov - target).max() < 0.05 * np.abs(target).max()
 
     def test_stressed_mixture_negative_skew(self, gmix_stressed):
@@ -169,7 +199,7 @@ def _oracle_sample_gmix(model, n, seed):
         idx = comp == k
         if not idx.any():
             continue
-        x[idx] = model.means[k] + z[idx] @ model._chol[k].T
+        x[idx] = model.locations[k] + z[idx] @ model._chol[k].T
     return x, np.bincount(comp, minlength=model.n_components)
 
 
@@ -255,9 +285,7 @@ class TestSamplerOracle:
     @pytest.mark.parametrize("name", ["synth10", "tmix4_demo", "gmix3_stressed", "rare"])
     def test_gather_transform_matches_masked_blocks(self, name):
         model = _sampler_model(name)
-        student = isinstance(model, StudentTMixture)
-        args = (model.weights, model.locations if student else model.means,
-                model._chol, model.dof if student else None)
+        args = (model.weights, model.locations, model._chol, model.dof)
         for n in (2, 3, rb.models._SAMPLE_BLOCK_ROWS + 1, 100_003):
             for seed in self.SEEDS:
                 got = rb.sample_model(model, n, seed).data
@@ -349,15 +377,25 @@ class TestEMStudent:
             em_fit_tmix(x, 2, np.array([4.0, bad]))
 
 
+class TestEMConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("tol", float("nan")), ("tol", float("inf")), ("tol", -1e-8), ("tol", "1e-8"),
+        ("max_iters", 0), ("max_iters", 2.5), ("max_iters", True), ("seed", -1),
+        ("seed", 1.0)])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(InputError, match=field):
+            EMConfig(**{field: value})
+
+
 class TestEMGaussian:
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(4000, 3)) @ np.diag([1.0, 2.0, 0.5]) + [0.1, -0.2, 0.3]
         sample = ReturnSample(x)
         fitted = em_fit_gmix(sample, 1, EMConfig(seed=0))
-        assert np.abs(fitted.means[0] - x.mean(axis=0)).max() < 1e-9
+        assert np.abs(fitted.locations[0] - x.mean(axis=0)).max() < 1e-9
         want_cov = np.cov(x.T, ddof=0)
-        assert np.abs(fitted.covariances[0] - want_cov).max() < 1e-9
+        assert np.abs(fitted.scales[0] - want_cov).max() < 1e-9
 
     def test_underestimates_heavy_tail_quantile(self, tmix_demo):
         # mis-specification oracle: a Gaussian-mixture fit on t-mixture data
@@ -375,8 +413,8 @@ class TestEMGaussian:
     def test_label_permutation_invariance(self, gmix_stressed):
         x = sample_gmix(gmix_stressed, 300, seed=18)
         swapped = GaussianMixture(gmix_stressed.weights[::-1],
-                                  gmix_stressed.means[::-1],
-                                  gmix_stressed.covariances[::-1])
+                                  gmix_stressed.locations[::-1],
+                                  gmix_stressed.scales[::-1])
         assert abs(mixture_loglik(gmix_stressed, x)
                    - mixture_loglik(swapped, x)) < 1e-12
 
@@ -415,7 +453,7 @@ def _oracle_em(x, n_comp, config, nu_fixed=None):
             mu[k] = wk @ x / wk.sum()
             dx = x - mu[k]
             scatter = (dx * wk[:, None]).T @ dx / resp[:, k].sum()
-            mats[k], chols[k] = _safe_cholesky(0.5 * (scatter + scatter.T), config.ridge)
+            mats[k], chols[k] = _safe_cholesky(0.5 * (scatter + scatter.T), _EM_RIDGE)
 
     m_step(resp, np.ones_like(resp))
     trace = []
@@ -459,7 +497,7 @@ def _fit(family, sample, config):
                                    return_trace=True)
         return model.weights, model.locations, model.scales, trace, model
     model, trace = em_fit_gmix(sample, 2, config, return_trace=True)
-    return model.weights, model.means, model.covariances, trace, model
+    return model.weights, model.locations, model.scales, trace, model
 
 
 BLOCK = rb.models._SAMPLE_BLOCK_ROWS
@@ -488,10 +526,10 @@ class TestEMOracle:
         p, mu, mats, want_trace = _oracle_em(sample.data, 2, self.CONFIG)
         assert len(trace) == len(want_trace)
         _assert_rel_close(fitted.weights, p, 1e-9)
-        _assert_rel_close(fitted.means, mu, 1e-9)
-        _assert_rel_close(fitted.covariances, mats, 1e-9)
+        _assert_rel_close(fitted.locations, mu, 1e-9)
+        _assert_rel_close(fitted.scales, mats, 1e-9)
         _assert_rel_close(trace, want_trace, 1e-12)
-        want = _oracle_loglik(sample.data, fitted.weights, fitted.means, fitted._chol)
+        want = _oracle_loglik(sample.data, fitted.weights, fitted.locations, fitted._chol)
         assert abs(mixture_loglik(fitted, sample) - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("family", ["tmix", "gmix"])
@@ -573,7 +611,7 @@ def _whole_array_em(x, n_comp, config, nu_fixed=None):
             mu[k] = xt @ w[k] / w[k].sum()
             dxt = xt - mu[k][:, None]
             scatter = (dxt * w[k]) @ dxt.T / rk
-            mats[k], chols[k] = _safe_cholesky(0.5 * (scatter + scatter.T), config.ridge)
+            mats[k], chols[k] = _safe_cholesky(0.5 * (scatter + scatter.T), _EM_RIDGE)
 
     m_step(resp, resp)
     trace = []

@@ -649,7 +649,7 @@ class TestVolatility:
 
     def test_table_row_euler_audit(self, gmix_calm):
         from riskbudget import euler_audit
-        sigma = gmix_calm.covariances[0]
+        sigma = gmix_calm.scales[0]
         theta = np.array([0.60916, 0.22200, 0.16884])
         report = euler_audit(
             theta,
