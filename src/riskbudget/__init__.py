@@ -25,7 +25,7 @@ from .solver import (SolveReport, SolverConfig, msbgd_solve,
                      multistart_uniqueness_check, osbgd_solve, reference_solve,
                      sgd_solve, solve)
 from .bench import (BenchRow, ExperimentSpec, run_accuracy_study,
-                    run_measure_comparison, run_reference, run_sgd_trace)
+                    run_measure_comparison, run_reference)
 
 __version__ = "0.1.0"
 

@@ -1,5 +1,5 @@
-"""Experiment harness: reference portfolio printing, SGD trace capture, the
-model-free vs model-based accuracy study, and the risk-measure comparison.
+"""Experiment harness: reference portfolio printing, the model-free vs
+model-based accuracy study, the risk-measure comparison, and the trace CSV.
 
 The accuracy study takes each setting's routes and row order from one table,
 SETTINGS, and runs its repetitions on a pool of `jobs` threads (one included);
@@ -109,6 +109,9 @@ def _study_configs(spec: ExperimentSpec) -> dict[str, SolverConfig]:
         if key not in defaults or not isinstance(override, dict):
             raise InputError(f"solver override {key!r} must be an object under "
                              f"one of the keys {tuple(defaults)}")
+        for name in ("method", "seed"):
+            if name in override:
+                raise InputError(f"solver override {key!r}: the study sets {name!r} itself")
         try:
             defaults[key] = config_from_dict(override, base=defaults[key])
         except InputError as exc:
@@ -311,18 +314,6 @@ def format_comparison_table(rows) -> str:
 
 # ---------------------------------------------------------------------------
 # SGD iterate trace
-
-def run_sgd_trace(model, budgets: Budgets, alpha: float,
-                  config: SolverConfig | None = None,
-                  sample_size: int = 1_000_000, seed: int = 0):
-    """Full per-iteration (y, zeta, theta) trace of one SGD run."""
-    cfg = replace(config or SolverConfig(method="sgd"),
-                  record_iterates=True,
-                  seed=(config.seed if config else seed))
-    sample = sample_model(model, sample_size, derive_seed(seed, "trace", "sample"))
-    report = sgd_solve(ExpectedShortfall(alpha), budgets, sample, cfg)
-    return report
-
 
 def write_trace_csv(report: SolveReport, path) -> None:
     it = report.iterate_trace

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: reference, solve, trace, study, compare, fit, sample. Global
+Subcommands: reference, solve, study, compare, fit, sample. Global
 flags: --config <json>, --seed <int>, --out <dir>, --no-timing; study also
 takes --jobs <int>.
 Exit code 0 on success, 1 on input errors, 2 on numeric failures.
@@ -18,8 +18,8 @@ import numpy as np
 
 from .bench import (ExperimentSpec, format_bench_table, format_comparison_table,
                     format_reference_table, run_accuracy_study,
-                    run_measure_comparison, run_reference, run_sgd_trace,
-                    write_bench_csv, write_comparison_csv, write_trace_csv)
+                    run_measure_comparison, run_reference, write_bench_csv,
+                    write_comparison_csv, write_trace_csv)
 from .core import Budgets, InputError, NumericError
 from .models import (EMConfig, em_fit_gmix, em_fit_tmix, load_model, load_sample,
                      sample_model, save_model, save_sample)
@@ -125,17 +125,8 @@ def _cmd_solve(args) -> int:
     for i, w in enumerate(report.weights.values, start=1):
         print(f"asset {i}: {w:.5f}")
     _write_report(args, report, "solve_report.json")
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    model = load_model(args.model)
-    budgets = _parse_budgets(args.budgets, model.dim)
-    report = run_sgd_trace(model, budgets, args.alpha, _solver_config(args),
-                           sample_size=args.sample_size, seed=args.seed)
-    write_trace_csv(report, _out_path(args, "trace.csv"))
-    _write_report(args, report, "trace_report.json")
-    print(f"final weights: {np.round(report.weights.values, 5).tolist()}")
+    if report.iterate_trace is not None:
+        write_trace_csv(report, _out_path(args, "trace.csv"))
     return 0
 
 
@@ -218,13 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets")
     p.add_argument("--sample-size", type=int, default=1_000_000)
     p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("trace", parents=[common], help="per-iteration SGD trace CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--budgets")
-    p.add_argument("--alpha", type=float, default=0.95)
-    p.add_argument("--sample-size", type=int, default=1_000_000)
-    p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser("study", parents=[common], help="accuracy/time study")
     p.add_argument("--jobs", type=int, default=1)

@@ -264,7 +264,8 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     rng = np.random.default_rng(config.seed)
     batches_per_epoch = int(np.ceil(n / config.batch_size))
     total = config.epochs * batches_per_epoch
-    avg_start = int(np.floor(total * (1.0 - config.averaging_fraction)))
+    # the window always holds the last iterate, however small the fraction
+    avg_start = min(int(np.floor(total * (1.0 - config.averaging_fraction))), total - 1)
 
     order = rng.permutation(n)
     first = x.take(order[:config.batch_size], axis=0) / scale

@@ -11,7 +11,7 @@ from riskbudget import Budgets, SolverConfig, Volatility
 from riskbudget.bench import (BenchRow, ExperimentSpec, format_reference_table,
                               read_bench_csv, run_accuracy_study,
                               run_measure_comparison, run_reference,
-                              run_sgd_trace, write_bench_csv, write_trace_csv)
+                              write_bench_csv, write_trace_csv)
 from riskbudget.cli import main
 from riskbudget.models import model_to_dict
 
@@ -88,10 +88,10 @@ class TestAccuracyStudy:
             dims=(4,), repetitions=1, n_hist=600, sim_size=40_000,
             settings=("model_free", "true_params"),
             solver_overrides={
-                "model_free_sgd": {"method": "sgd", "epochs": 5},
-                "sgd": {"method": "sgd", "epochs": 2},
-                "osbgd": {"method": "osbgd", "max_iters": 60},
-                "msbgd": {"method": "msbgd", "max_iters": 12, "last_k": 3,
+                "model_free_sgd": {"epochs": 5},
+                "sgd": {"epochs": 2},
+                "osbgd": {"max_iters": 60},
+                "msbgd": {"max_iters": 12, "last_k": 3,
                           "resample_size": 10_000},
             },
             master_seed=7)
@@ -108,8 +108,8 @@ class TestAccuracyStudy:
             dims=(3, 4), repetitions=2, n_hist=500, sim_size=20_000,
             settings=("model_free",),
             solver_overrides={
-                "model_free_sgd": {"method": "sgd", "epochs": 3},
-                "osbgd": {"method": "osbgd", "max_iters": 40},
+                "model_free_sgd": {"epochs": 3},
+                "osbgd": {"max_iters": 40},
             },
             master_seed=11)
         serial = run_accuracy_study(spec)
@@ -127,9 +127,9 @@ class TestAccuracyStudy:
             dims=(4,), repetitions=2, n_hist=500, sim_size=10_000,
             settings=("true_params",),
             solver_overrides={
-                "sgd": {"method": "sgd", "epochs": 1},
-                "osbgd": {"method": "osbgd", "max_iters": 30},
-                "msbgd": {"method": "msbgd", "max_iters": 8, "last_k": 3,
+                "sgd": {"epochs": 1},
+                "osbgd": {"max_iters": 30},
+                "msbgd": {"max_iters": 8, "last_k": 3,
                           "resample_size": 5_000},
             },
             master_seed=13)
@@ -149,9 +149,9 @@ class TestAccuracyStudy:
             dims=(4,), repetitions=1, n_hist=1500, sim_size=30_000,
             settings=("tmix_em", "gmix_em"),
             solver_overrides={
-                "sgd": {"method": "sgd", "epochs": 2},
-                "osbgd": {"method": "osbgd", "max_iters": 50},
-                "msbgd": {"method": "msbgd", "max_iters": 10, "last_k": 3,
+                "sgd": {"epochs": 2},
+                "osbgd": {"max_iters": 50},
+                "msbgd": {"max_iters": 10, "last_k": 3,
                           "resample_size": 10_000},
             },
             master_seed=13)
@@ -168,9 +168,9 @@ class TestAccuracyStudy:
             dims=(3,), repetitions=1, n_hist=100, sim_size=10_000,
             settings=("model_free",),
             solver_overrides={
-                "model_free_sgd": {"method": "sgd", "epochs": 2,
+                "model_free_sgd": {"epochs": 2,
                                    "batch_size": 128},
-                "osbgd": {"method": "osbgd", "max_iters": 30},
+                "osbgd": {"max_iters": 30},
             },
             master_seed=17)
         rows = {r.method: r for r in run_accuracy_study(spec)}
@@ -183,8 +183,8 @@ class TestAccuracyStudy:
             dims=(3,), repetitions=2, n_hist=400, sim_size=10_000,
             settings=("model_free",),
             solver_overrides={
-                "model_free_sgd": {"method": "sgd", "epochs": 2},
-                "osbgd": {"method": "osbgd", "max_iters": 30},
+                "model_free_sgd": {"epochs": 2},
+                "osbgd": {"max_iters": 30},
             },
             master_seed=21)
         blobs = []
@@ -316,9 +316,10 @@ def _write_cfg(tmp_path):
 
 class TestTraceCommand:
     def test_row_count_and_round_trip(self, tmix_demo, tmp_path):
-        cfg = SolverConfig(method="sgd", epochs=2, batch_size=128, seed=3)
-        report = run_sgd_trace(tmix_demo, Budgets.equal(4), 0.95, cfg,
-                               sample_size=10_000, seed=3)
+        sample = rb.sample_model(tmix_demo, 10_000, seed=3)
+        cfg = SolverConfig(method="sgd", epochs=2, batch_size=128, seed=3,
+                           record_iterates=True)
+        report = rb.sgd_solve(rb.ExpectedShortfall(0.95), Budgets.equal(4), sample, cfg)
         path = tmp_path / "trace.csv"
         write_trace_csv(report, path)
         with open(path, newline="") as fh:
@@ -331,11 +332,47 @@ class TestTraceCommand:
 
     def test_cli_trace_divergence_exit_code(self, tmp_path, demo_model_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"solver": {
-            "step_base": 1e9, "grad_clip": 0.0, "epochs": 2}}))
-        code = main(["trace", "--model", demo_model_path, "--config", str(cfg),
-                     "--sample-size", "5000", "--out", str(tmp_path)])
+        cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
+                                   "solver": {"step_base": 1e9, "grad_clip": 0.0,
+                                              "epochs": 2, "record_iterates": True}}))
+        code = main(["solve", "--method", "sgd", "--model", demo_model_path,
+                     "--config", str(cfg), "--sample-size", "5000", "--out", str(tmp_path)])
         assert code == 2
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("source", ["--model", "--sample"])
+    @pytest.mark.parametrize("measure", [
+        {"measure": "es", "alpha": 0.95}, {"measure": "es_mean", "alpha": 0.9},
+        {"measure": "spectral", "c": 0.05, "nodes": 8},
+        {"measure": "deviation", "a": 1, "b": 1, "p": 2}, {"measure": "volatility"}])
+    def test_cli_solve_writes_trace_csv(self, tmix_demo, demo_model_path, tmp_path,
+                                        measure, source):
+        # --model draws the same 2000 rows at --seed 5 that --sample reads
+        sample = rb.sample_model(tmix_demo, 2000, seed=5)
+        rb.save_sample(sample, tmp_path / "s.csv")
+        data = {"--model": demo_model_path, "--sample": str(tmp_path / "s.csv")}[source]
+        solver = {"epochs": 1, "max_iters": 20}
+        out = {}
+        for method in ("sgd", "osbgd"):
+            for traced in (False, True):
+                cfg = tmp_path / "cfg.json"
+                cfg.write_text(json.dumps({"measure": measure, "solver": {
+                    **solver, **({"record_iterates": True} if traced else {})}}))
+                out[method, traced] = tmp_path / method / str(traced)
+                assert main(["solve", "--method", method, source, data,
+                             "--sample-size", "2000", "--seed", "5", "--config", str(cfg),
+                             "--no-timing", "--out", str(out[method, traced])]) == 0
+        want = rb.sgd_solve(rb.measure_from_dict(measure), Budgets.equal(4), sample,
+                            SolverConfig(**solver, seed=5, record_iterates=True))
+        with open(out["sgd", True] / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][0] == "iteration" and len(rows[0]) == want.iterate_trace.shape[1]
+        assert np.array_equal(np.array(rows[1:], dtype=float), want.iterate_trace)
+        for method in ("sgd", "osbgd"):
+            assert not (out[method, False] / "trace.csv").exists()
+            assert ((out[method, False] / "solve_report.json").read_bytes()
+                    == (out[method, True] / "solve_report.json").read_bytes())
+        assert not (out["osbgd", True] / "trace.csv").exists()
 
 
 class TestFitAndSampleCommands:
@@ -363,7 +400,7 @@ class TestFitAndSampleCommands:
     def test_malformed_solver_entry_exits_1(self, tmp_path, demo_model_path, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        for command in ("reference", "trace", "solve"):
+        for command in ("reference", "solve"):
             code = main([command, "--model", demo_model_path, "--config", str(cfg),
                          "--out", str(tmp_path)])
             assert code == 1
@@ -377,7 +414,7 @@ class TestFitAndSampleCommands:
         cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
                                    "solver": solver}))
         for command in (["solve", "--method", "osbgd"], ["solve", "--method", "msbgd"],
-                        ["trace"]):
+                        ["solve", "--method", "sgd"]):
             code = main(command + ["--model", demo_model_path, "--config", str(cfg),
                                    "--sample-size", "2000", "--out", str(tmp_path)])
             assert code == 1
@@ -396,7 +433,10 @@ class TestFitAndSampleCommands:
         ("study", {"dims": [3, 3]}),
         # an unknown key on an otherwise valid study
         ("study", {**TINY_STUDY, "dgp": {}}),
-        ("study", {**TINY_STUDY, "output_dir": "elsewhere"})])
+        ("study", {**TINY_STUDY, "output_dir": "elsewhere"}),
+        # the study sets each route's seed and method itself
+        ("study", {**TINY_STUDY, "solver_overrides": {"osbgd": {"seed": 7}}}),
+        ("study", {**TINY_STUDY, "solver_overrides": {"osbgd": {"method": "sgd"}}})])
     def test_malformed_study_or_fit_input_exits_1(self, tmp_path, demo_model_path,
                                                   capsys, monkeypatch, command, doc):
         monkeypatch.chdir(tmp_path)

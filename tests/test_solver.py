@@ -2,6 +2,7 @@ import json
 import math
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,18 @@ class TestSgdSolve:
         want = epochs * int(np.ceil(n / batch)) + 1
         assert report.objective_trace.shape[0] == want
         assert report.iterate_trace.shape[0] == want
+
+    def test_tiny_averaging_fraction_averages_the_last_iterate(self, tmix_demo):
+        sample = rb.sample_tmix(tmix_demo, 5000, seed=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = sgd_solve(ExpectedShortfall(0.95), Budgets.equal(4), sample,
+                               SolverConfig(epochs=1, averaging_fraction=1e-17,
+                                            record_iterates=True))
+        last = report.iterate_trace[-1]
+        assert np.all(np.isfinite(report.weights.values))
+        assert np.array_equal(report.zeta.values, last[5:6])
+        assert np.allclose(report.weights.values, last[6:], rtol=1e-12, atol=0.0)
 
     def test_small_sample_rejected(self, tmix_demo):
         sample = rb.sample_tmix(tmix_demo, 64, seed=42)
