@@ -2,8 +2,9 @@
 model-based accuracy study, the risk-measure comparison, and the trace CSV.
 
 The accuracy study takes each setting's routes and row order from one table,
-SETTINGS, and runs its repetitions on a pool of `jobs` threads (one included);
-a failed solve or model estimate becomes an error note on its cells.
+SETTINGS, and runs its repetitions on the calling thread when `jobs` is 1, on a
+pool of `jobs` threads otherwise; a failed solve or model estimate becomes an
+error note on its cells.
 
 All tabular artifacts are CSV with a header row; floats are written with
 full round-trip precision so a parsed file reproduces the in-memory rows
@@ -175,9 +176,12 @@ def _one_repetition(spec: ExperimentSpec, d: int, rep: int) -> list[tuple]:
 
 def run_accuracy_study(spec: ExperimentSpec) -> list[BenchRow]:
     """Model-free vs model-based accuracy/time study aggregated over repetitions."""
-    with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-        reps = list(pool.map(lambda dr: _one_repetition(spec, *dr),
-                             [(d, r) for d in spec.dims for r in range(spec.repetitions)]))
+    pairs = [(d, r) for d in spec.dims for r in range(spec.repetitions)]
+    if spec.jobs == 1:
+        reps = [_one_repetition(spec, d, r) for d, r in pairs]
+    else:
+        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
+            reps = list(pool.map(lambda dr: _one_repetition(spec, *dr), pairs))
     table = [(s, m) for s in spec.settings for m in SETTINGS[s]]
     rows = []
     for i, d in enumerate(spec.dims):

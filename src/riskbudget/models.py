@@ -161,20 +161,21 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def sample_model(model: _Mixture, n: int, seed: int) -> ReturnSample:
+def sample_model(model: _Mixture, n: int, seed: int, out=None) -> ReturnSample:
     """Draw n i.i.d. returns from a Gaussian or Student-t mixture.
 
     Each draw picks a component from the mixture probabilities, then applies
     location + chol(scale) z, times sqrt(nu/V) with V ~ chi2(nu) for a
-    Student-t component. The random numbers come first, one generator call
-    each: the components, an n x d standard normal z and, for Student-t, V
-    per row. The rows are then transformed in place over z, in blocks of
-    _SAMPLE_BLOCK_ROWS: per block and component, one gather of that
-    component's rows (take), one matmul, the Student scale and the location
-    in place, and a write back over their normals. An output row needs only
-    its own normal row, and it sees the same arithmetic as when its
-    component's rows are transformed alone, so the same seed gives the same
-    bytes whatever the block size.
+    Student-t component. The components and an n x d standard normal z come
+    first, one generator call each, written into out (an n x d float array)
+    when given. The rows are then transformed in place over z, in blocks of
+    _SAMPLE_BLOCK_ROWS: for Student-t, V is drawn per block, after all the
+    normals, so the generator's stream has the order of one n-vector draw;
+    then, per component, one gather of that component's rows (take), one
+    matmul, the Student scale and the location in place, and a write back
+    over their normals. An output row needs only its own normal row, and it
+    sees the same arithmetic as when its component's rows are transformed
+    alone, so the same seed gives the same bytes whatever the block size.
     """
     if n < 1:
         raise InputError("sample size must be at least 1")
@@ -182,11 +183,7 @@ def sample_model(model: _Mixture, n: int, seed: int) -> ReturnSample:
     n_comp, d = locations.shape
     rng = np.random.default_rng(seed)
     comp = rng.choice(n_comp, size=n, p=model.weights)
-    z = rng.standard_normal((n, d))
-    if dof is not None:
-        nu = dof[comp]
-        chi = rng.chisquare(nu)
-        t_scale = np.sqrt(np.divide(nu, chi, out=chi), out=chi)
+    z = rng.standard_normal((n, d), out=out)
     start = 0
     while start < n:
         stop = start + _SAMPLE_BLOCK_ROWS
@@ -194,9 +191,13 @@ def sample_model(model: _Mixture, n: int, seed: int) -> ReturnSample:
             # a last row left alone joins this block: only a one-row sample
             # has a one-row block
             stop = n
-        zb = z[start:stop]
+        zb, cb = z[start:stop], comp[start:stop]
+        if dof is not None:
+            nu = dof[cb]
+            chi = rng.chisquare(nu)
+            t_scale = np.sqrt(np.divide(nu, chi, out=chi), out=chi)
         for k in range(n_comp):
-            idx = np.flatnonzero(comp[start:stop] == k)
+            idx = np.flatnonzero(cb == k)
             if idx.size == 0:
                 continue
             if idx.size == 1 < len(zb):
@@ -205,7 +206,7 @@ def sample_model(model: _Mixture, n: int, seed: int) -> ReturnSample:
                 idx = np.repeat(idx, 2)
             res = zb.take(idx, axis=0) @ chols[k].T
             if dof is not None:
-                res *= t_scale[start:stop].take(idx)[:, None]
+                res *= t_scale.take(idx)[:, None]
             res += locations[k]
             zb[idx] = res
         start = stop

@@ -48,7 +48,9 @@ from .risk import (ESMeanMixture, ExpectedShortfall, RiskMeasureSpec, Spectral,
 DIVERGENCE_THRESHOLD = 1e12
 _STEP_EXPONENT = 0.6      # SGD step gamma_k = base / (1 + k)^0.6
 _GATHER_BATCHES = 64      # SGD mini-batches gathered from the sample at once
-_PREFETCH_DRAWS = 2       # msbgd resamples drawn ahead, one thread each
+# msbgd resamples drawn ahead, one thread each; the solve's ring of resample
+# buffers has two slots more, for the sample in use and the one before it
+_PREFETCH_DRAWS = 2
 _METHODS = ("sgd", "osbgd", "msbgd", "reference")
 
 
@@ -430,14 +432,25 @@ def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     run or wait ahead of the sample in use. The report has the same bytes as
     drawing each sample when it is needed. Pending draws are cancelled and
     the threads joined before the solve returns or raises.
+
+    The samples live in a ring of _PREFETCH_DRAWS + 2 buffers, allocated on
+    the calling thread before the pool starts. Draw i (0 the start, the last
+    the audit) writes into slot i modulo the ring's length; it starts when
+    the descent takes sample i - 2, by when sample i - 4, whose slot it
+    reuses, is finished.
     """
     iters_fixed = config.max_iters or 60
-    keys = iter([*range(1, iters_fixed + 1), "audit"])
+    keys = iter(range(1, iters_fixed + 2))
     ahead = deque()
+    ring = [np.empty((config.resample_size, model.dim))
+            for _ in range(_PREFETCH_DRAWS + 2)]
 
-    def draw(key):
+    def draw(i):
+        # a fresh view of the slot: the sample marks its array read-only
+        key = "audit" if i > iters_fixed else i
         return sample_model(model, config.resample_size,
-                            derive_seed(config.seed, "msbgd", key)).data
+                            derive_seed(config.seed, "msbgd", key),
+                            out=ring[i % len(ring)][...]).data
 
     def next_sample():
         # hand out the oldest draw and start the next, keeping two ahead

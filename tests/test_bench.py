@@ -144,6 +144,20 @@ class TestAccuracyStudy:
         assert [r[1] for r in untimed] == ["sgd", "osbgd", "msbgd"]
         assert all(r[5] == "" for r in untimed)
 
+    def test_one_worker_runs_on_calling_thread(self, monkeypatch):
+        ran_on = []
+        one_repetition = rb.bench._one_repetition
+
+        def recording_repetition(*args):
+            ran_on.append(threading.current_thread())
+            return one_repetition(*args)
+
+        monkeypatch.setattr(rb.bench, "_one_repetition", recording_repetition)
+        spec = ExperimentSpec(**{**TINY_STUDY, "dims": (2, 3), "repetitions": 2})
+        assert spec.jobs == 1
+        run_accuracy_study(spec)
+        assert ran_on == [threading.current_thread()] * 4
+
     def test_estimated_model_settings(self):
         spec = ExperimentSpec(
             dims=(4,), repetitions=1, n_hist=1500, sim_size=30_000,

@@ -311,6 +311,26 @@ class TestSamplerOracle:
             tracemalloc.stop()
         assert peak < 2.0 * sample.data.nbytes
 
+    def test_chi_squares_drawn_per_block(self):
+        # no n-vectors of dof and chi-square variates beside the sample
+        model = synth_dgp(10, 5)
+        tracemalloc.start()
+        try:
+            sample = rb.sample_model(model, 200_000, seed=31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * sample.data.nbytes
+
+    @pytest.mark.parametrize("name", ["synth10", "gmix3_stressed"])
+    def test_out_buffer_gives_same_bytes(self, name):
+        model = _sampler_model(name)
+        n = rb.models._SAMPLE_BLOCK_ROWS + 7
+        buf = np.empty((n, model.dim))
+        got = rb.sample_model(model, n, seed=32, out=buf[...])
+        assert got.data.base is buf
+        assert got.data.tobytes() == rb.sample_model(model, n, seed=32).data.tobytes()
+
 
 class TestLossDistribution:
     def test_cdf_limits_and_symmetry(self, tmix_demo):

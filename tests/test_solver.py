@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -328,10 +329,10 @@ class TestMsbgdPrefetch:
 
         failing_seed = derive_seed(cfg.seed, "msbgd", 2)
 
-        def third_draw_fails(model, n, seed):
+        def third_draw_fails(model, n, seed, out=None):
             if seed == failing_seed:
                 raise _DrawFailed("third draw")
-            return sample_model(model, n, seed)
+            return sample_model(model, n, seed, out=out)
 
         monkeypatch.setattr(solver_mod, "sample_model", third_draw_fails)
         with pytest.raises(_DrawFailed):
@@ -349,10 +350,10 @@ class TestMsbgdPrefetch:
         started = {}
         sample_risk = solver_mod._sample_risk
 
-        def recording_draw(model, n, seed):
+        def recording_draw(model, n, seed, out=None):
             with lock:
                 started[keys[seed]] = used[0]
-            return sample_model(model, n, seed)
+            return sample_model(model, n, seed, out=out)
 
         def counting_risk(spec, x, scale):
             with lock:
@@ -366,6 +367,37 @@ class TestMsbgdPrefetch:
         for key, uses in started.items():
             assert uses >= key - 2
 
+    @pytest.mark.parametrize("prefetch", [2, 4])
+    def test_evaluates_only_ring_memory(self, tmix_demo, monkeypatch, prefetch):
+        # the start, every resample and the audit sample are views of the
+        # solve's ring: max_iters + 2 samples in _PREFETCH_DRAWS + 2 buffers.
+        # Four draw threads on a short switch interval: a slot written while
+        # its sample is still in use would change the bytes
+        monkeypatch.setattr(solver_mod, "_PREFETCH_DRAWS", prefetch)
+        spec, budgets = ExpectedShortfall(0.95), Budgets(np.array([0.4, 0.3, 0.2, 0.1]))
+        cfg = SolverConfig(method="msbgd", max_iters=9, resample_size=3001, seed=53)
+        want = _serial_msbgd(spec, budgets, tmix_demo, cfg).to_dict(include_timing=False)
+        roots = []
+        sample_risk = solver_mod._sample_risk
+
+        def recording_risk(spec, x, scale):
+            root = x
+            while root.base is not None:
+                root = root.base
+            roots.append(root)
+            return sample_risk(spec, x, scale)
+
+        monkeypatch.setattr(solver_mod, "_sample_risk", recording_risk)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = msbgd_solve(spec, budgets, tmix_demo, cfg).to_dict(include_timing=False)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(roots) == cfg.max_iters + 2
+        assert len({id(r) for r in roots}) <= prefetch + 2
+        assert json.dumps(got) == json.dumps(want)
+
 
 class TestDescentsReadTheSample:
     @pytest.mark.parametrize("method", ["osbgd", "msbgd"])
@@ -374,8 +406,8 @@ class TestDescentsReadTheSample:
         drawn, seen = [], []
         draw, sample_risk = solver_mod.sample_model, solver_mod._sample_risk
 
-        def recording_draw(model, n, seed):
-            sample = draw(model, n, seed)
+        def recording_draw(model, n, seed, out=None):
+            sample = draw(model, n, seed, out=out)
             drawn.append(sample.data)
             return sample
 
