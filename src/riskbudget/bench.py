@@ -2,9 +2,8 @@
 model-based accuracy study, the risk-measure comparison, and the trace CSV.
 
 The accuracy study takes each setting's routes and row order from one table,
-SETTINGS, and runs its repetitions on the calling thread when `jobs` is 1, on a
-pool of `jobs` threads otherwise; a failed solve or model estimate becomes an
-error note on its cells.
+SETTINGS, and runs its repetitions one after another on the calling thread; a
+failed solve or model estimate becomes an error note on its cells.
 
 All tabular artifacts are CSV with a header row; floats are written with
 full round-trip precision so a parsed file reproduces the in-memory rows
@@ -15,8 +14,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -61,6 +59,8 @@ class ExperimentSpec:
     historical sample directly, the other three estimate (or copy) a model
     first and solve on simulated data. solver_overrides maps a key of the
     route defaults to an object of SolverConfig fields replacing theirs.
+    jobs is accepted only as 1 and stored nowhere; it goes once no caller
+    passes it.
     """
 
     dims: tuple[int, ...] = (10,)
@@ -71,15 +71,17 @@ class ExperimentSpec:
     settings: tuple[str, ...] = ("model_free", "true_params")
     solver_overrides: dict = field(default_factory=dict)
     master_seed: int = 0
-    jobs: int = 1
+    jobs: InitVar[int] = 1
 
-    def __post_init__(self):
+    def __post_init__(self, jobs):
+        if not _is_int(jobs, 1) or jobs != 1:
+            raise InputError("jobs must be 1: the study runs on the calling thread")
         if not (isinstance(self.dims, (tuple, list)) and self.dims
                 and all(_is_int(d, 2) for d in self.dims)
                 and len(set(self.dims)) == len(self.dims)):
             raise InputError("dims must be a non-empty list of distinct integers "
                              "of at least 2")
-        for name in ("repetitions", "n_hist", "sim_size", "jobs"):
+        for name in ("repetitions", "n_hist", "sim_size"):
             if not _is_int(getattr(self, name), 1):
                 raise InputError(f"{name} must be an integer of at least 1")
         if not (_is_finite(self.alpha) and 0.0 < self.alpha < 1.0):
@@ -176,12 +178,7 @@ def _one_repetition(spec: ExperimentSpec, d: int, rep: int) -> list[tuple]:
 
 def run_accuracy_study(spec: ExperimentSpec) -> list[BenchRow]:
     """Model-free vs model-based accuracy/time study aggregated over repetitions."""
-    pairs = [(d, r) for d in spec.dims for r in range(spec.repetitions)]
-    if spec.jobs == 1:
-        reps = [_one_repetition(spec, d, r) for d, r in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            reps = list(pool.map(lambda dr: _one_repetition(spec, *dr), pairs))
+    reps = [_one_repetition(spec, d, r) for d in spec.dims for r in range(spec.repetitions)]
     table = [(s, m) for s in spec.settings for m in SETTINGS[s]]
     rows = []
     for i, d in enumerate(spec.dims):

@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Subcommands: reference, solve, study, compare, fit, sample. Global
-flags: --config <json>, --seed <int>, --out <dir>, --no-timing; study also
-takes --jobs <int>.
+flags: --config <json>, --seed <int>, --out <dir>, --no-timing.
 Exit code 0 on success, 1 on input errors, 2 on numeric failures.
 """
 
@@ -73,7 +72,6 @@ def experiment_from_dict(doc: dict, args) -> ExperimentSpec:
         if key in doc and isinstance(doc[key], list):
             doc[key] = tuple(doc[key])
     doc.setdefault("master_seed", args.seed)
-    doc.setdefault("jobs", args.jobs)
     try:
         return ExperimentSpec(**doc)
     except TypeError as exc:
@@ -211,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("study", parents=[common], help="accuracy/time study")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_study)
 
     p = sub.add_parser("compare", parents=[common],

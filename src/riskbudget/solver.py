@@ -437,8 +437,10 @@ def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     the calling thread before the pool starts. Draw i (0 the start, the last
     the audit) writes into slot i modulo the ring's length; it starts when
     the descent takes sample i - 2, by when sample i - 4, whose slot it
-    reuses, is finished.
+    reuses, is finished. The budgets and y0 are checked before any of this.
     """
+    _check_problem(budgets, model.dim)
+    y0 = _initial_allocation(budgets, y0)
     iters_fixed = config.max_iters or 60
     keys = iter(range(1, iters_fixed + 2))
     ahead = deque()

@@ -210,6 +210,17 @@ class TestMsbgdSolve:
         assert np.array_equal(a.weights.values, b.weights.values)
         assert np.array_equal(a.objective_trace, b.objective_trace)
 
+    @pytest.mark.parametrize("budgets, y0", [(Budgets.equal(9), None),
+                                             (Budgets.equal(10), np.ones(9))],
+                             ids=["budgets", "y0"])
+    def test_checks_inputs_before_drawing(self, monkeypatch, budgets, y0):
+        draws = []
+        monkeypatch.setattr(solver_mod, "sample_model", lambda *a, **k: draws.append(a))
+        with pytest.raises(rb.InputError):
+            msbgd_solve(ExpectedShortfall(0.95), budgets, rb.synth_dgp(10, 5),
+                        SolverConfig(method="msbgd"), y0=y0)
+        assert draws == []
+
     @pytest.mark.parametrize("last_k", [1, 3, 7, 10])
     def test_averages_exactly_last_k_iterates(self, tmix_demo, monkeypatch, last_k):
         seen = {}
