@@ -219,20 +219,6 @@ def write_bench_csv(rows, path, include_timing: bool = True) -> None:
             writer.writerow([rec[c] for c in cols])
 
 
-def read_bench_csv(path) -> list[BenchRow]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            rows.append(BenchRow(
-                d=int(rec["d"]), method=rec["method"], setting=rec["setting"],
-                acc_mean=float(rec["acc_mean"]), acc_std=float(rec["acc_std"]),
-                time_mean=float(rec.get("time_mean", "nan")),
-                time_std=float(rec.get("time_std", "nan")),
-                errors=rec.get("errors", "")))
-    return rows
-
-
 def format_bench_table(rows, include_timing: bool = True) -> str:
     head = f"{'d':>5} {'setting':>12} {'method':>8} {'accuracy':>16}"
     lines = [head + (f" {'time (s)':>16}" if include_timing else "")]

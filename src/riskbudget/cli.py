@@ -59,10 +59,13 @@ def _parse_budgets(text: str | None, d: int) -> Budgets:
 
 def _solver_config(args, doc: dict | None = None) -> SolverConfig:
     """Solver settings from the "solver" entry of the --config document (read
-    from args.config unless given), seeded by --seed unless the entry sets one."""
+    from args.config unless given), seeded by --seed unless the entry sets one.
+    Every command sets the method itself, so the entry may not name one."""
     solver = (_load_config(args) if doc is None else doc).get("solver") or {}
     if not isinstance(solver, dict):
         raise InputError('the "solver" entry of --config must be an object')
+    if "method" in solver:
+        raise InputError(f'the "solver" entry may not set "method": {args.command} sets it')
     return config_from_dict({"seed": args.seed, **solver})
 
 

@@ -11,7 +11,7 @@ power form for deviation measures.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -184,12 +184,17 @@ class ESMeanMixture(_RUMeasure):
         return f"es_mean({self.beta:g}*es({self.alpha:g})+{self.delta:g}*mean)"
 
 
+S_MAX = 0.999
+
+
 @dataclass(frozen=True)
 class Spectral(_Measure):
     """Power-distortion spectral measure with h(s) = s**(1/c - 1) / c.
 
-    Discretized on `nodes` levels; with subtract_mean the expected loss is
-    factored out, leaving a translation-invariant measure.
+    Discretized at construction into a positive combination of ES levels: the
+    read-only arrays `levels` (strictly increasing in (0, 1)) and `coeff`
+    (positive, summing to one), `nodes` entries each. With subtract_mean the
+    expected loss is factored out, leaving a translation-invariant measure.
     """
 
     kind = "spectral"
@@ -208,22 +213,39 @@ class Spectral(_Measure):
             raise SpecError("nodes must be an integer of at least 1")
         if not isinstance(self.subtract_mean, (bool, np.bool_)):
             raise SpecError("subtract_mean must be true or false")
+        # Midpoint rule for the tail-weight measure (1-s) dh(s): the levels are
+        # the midpoints of `nodes` equal subintervals of (0, S_MAX], and the
+        # coefficients (1 - s_k) h'(s_k) ds are renormalized to sum exactly to
+        # one, as int (1-s) dh(s) = 1 does for the continuous measure.
+        k = self.nodes
+        ds = S_MAX / k
+        levels = (np.arange(k) + 0.5) * ds
+        with np.errstate(all="ignore"):
+            hprime = (1.0 / self.c - 1.0) * levels ** (1.0 / self.c - 2.0) / self.c
+            coeff = (1.0 - levels) * hprime * ds
+            coeff = coeff / coeff.sum()
+        if not np.all(np.isfinite(coeff) & (coeff > 0.0)):
+            raise SpecError(f"spectral grid of c={self.c:g}, nodes={k} has a coefficient "
+                            "that is not finite and positive")
+        levels.setflags(write=False)
+        coeff.setflags(write=False)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "coeff", coeff)
 
     def label(self) -> str:
         suffix = "-mean" if self.subtract_mean else ""
         return f"spectral(c={self.c:g},K={self.nodes}){suffix}"
 
     def init_zeta(self, losses) -> np.ndarray:
-        return np.array([empirical_var_method7(losses, s) for s in spectral_grid(self).levels])
+        return np.array([empirical_var_method7(losses, s) for s in self.levels])
 
     def risk(self, x: np.ndarray) -> float:
         # the derived value from a sort; objective_and_weights needs an argsort
         return self._value(x, *_sorted_with_tails(x))
 
     def _value(self, x, s, tail_sums) -> float:
-        grid = spectral_grid(self)
-        nodes = [_ru_node_minimum(s, tail_sums, lv) for lv in grid.levels]
-        val = float(np.dot(grid.coeff, nodes))
+        nodes = [_ru_node_minimum(s, tail_sums, lv) for lv in self.levels]
+        val = float(np.dot(self.coeff, nodes))
         return val - float(x.mean()) if self.subtract_mean else val
 
     def objective_and_weights(self, x: np.ndarray):
@@ -235,8 +257,7 @@ class Spectral(_Measure):
         s = x[order]
         rates = np.zeros(n + 1)
         w_sorted = np.zeros(n)
-        grid = spectral_grid(self)
-        for lv, c in zip(grid.levels, grid.coeff):
+        for lv, c in zip(self.levels, self.coeff):
             k = _node_rank(n, lv)
             rate = c / (n * (1.0 - lv))
             rates[k] += rate
@@ -301,10 +322,6 @@ _KINDS = {cls.kind: cls for cls in (Volatility, ExpectedShortfall, ESMeanMixture
 
 def measure_label(spec: RiskMeasureSpec) -> str:
     return spec.label()
-
-
-def measure_to_dict(spec: RiskMeasureSpec) -> dict:
-    return {"measure": spec.kind, **asdict(spec)}
 
 
 def measure_from_dict(doc: dict) -> RiskMeasureSpec:
@@ -496,60 +513,9 @@ def ru_subgradient(spec, budgets: Budgets, y, zeta, batch):
 
 
 # ---------------------------------------------------------------------------
-# spectral measures: discretization and per-node objective
+# spectral measures: per-node objective
 
-@dataclass(frozen=True)
-class SpectralGrid:
-    """Discretization of a spectral measure into positive ES combinations.
-
-    levels : K quantile levels in (0, 1), strictly increasing
-    coeff : K positive weights summing to one
-    """
-
-    levels: np.ndarray
-    coeff: np.ndarray
-
-    def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.levels, dtype=float))
-        c = np.atleast_1d(np.asarray(self.coeff, dtype=float))
-        if s.shape != c.shape:
-            raise SpecError("levels and coefficients must have equal length")
-        if np.any(s <= 0.0) or np.any(s >= 1.0) or np.any(np.diff(s) <= 0.0):
-            raise SpecError("levels must be strictly increasing inside (0, 1)")
-        if np.any(c <= 0.0):
-            raise SpecError("coefficients must be positive")
-        if abs(c.sum() - 1.0) > 1e-6:
-            raise SpecError("coefficients must sum to one within 1e-6")
-        s.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "levels", s)
-        object.__setattr__(self, "coeff", c)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.levels.size
-
-
-S_MAX = 0.999
-
-
-def spectral_grid(spec: Spectral) -> SpectralGrid:
-    """Midpoint-rule discretization of the tail-weight measure (1-s) dh(s).
-
-    Nodes are midpoints of `nodes` equal subintervals of (0, S_MAX]; the
-    coefficients (1 - s_k) h'(s_k) ds are renormalized to sum exactly to one,
-    which the continuous measure satisfies since int (1-s) dh(s) = 1.
-    """
-    k = spec.nodes
-    ds = S_MAX / k
-    s = (np.arange(k) + 0.5) * ds
-    hprime = (1.0 / spec.c - 1.0) * s ** (1.0 / spec.c - 2.0) / spec.c
-    coeff = (1.0 - s) * hprime * ds
-    return SpectralGrid(s, coeff / coeff.sum())
-
-
-def spectral_objective(spec: Spectral, grid: SpectralGrid, budgets: Budgets,
-                       y, zeta, batch) -> float:
+def spectral_objective(spec: Spectral, budgets: Budgets, y, zeta, batch) -> float:
     """Discretized spectral objective with one threshold per node.
 
     sum_k coeff_k [zeta_k + mean((loss - zeta_k)_+) / (1 - s_k)] minus the
@@ -557,29 +523,28 @@ def spectral_objective(spec: Spectral, grid: SpectralGrid, budgets: Budgets,
     mean-subtracted form (the coefficients sum to one, so this subtracts the
     batch mean loss exactly once).
     """
-    if zeta.size != grid.n_nodes:
-        raise InputError(f"threshold vector has {zeta.size} entries, grid has {grid.n_nodes}")
+    if zeta.size != spec.nodes:
+        raise InputError(f"threshold vector has {zeta.size} entries, spec has {spec.nodes} nodes")
     yv = _values_of(y)
     losses = -(batch @ yv)
     m = losses.size
     hinge = np.add.reduce(np.maximum(losses[:, None] - zeta, 0.0), axis=0) / m
-    nodes = zeta + hinge / (1.0 - grid.levels)
-    val = float(np.dot(grid.coeff, nodes)) - float(np.dot(budgets.values, np.log(yv)))
+    nodes = zeta + hinge / (1.0 - spec.levels)
+    val = float(np.dot(spec.coeff, nodes)) - float(np.dot(budgets.values, np.log(yv)))
     if spec.subtract_mean:
         val -= np.add.reduce(losses) / m
     return val
 
 
-def spectral_subgradient(spec: Spectral, grid: SpectralGrid, budgets: Budgets,
-                         y, zeta, batch):
+def spectral_subgradient(spec: Spectral, budgets: Budgets, y, zeta, batch):
     """Subgradient of spectral_objective at (y, zeta)."""
-    if zeta.size != grid.n_nodes:
-        raise InputError(f"threshold vector has {zeta.size} entries, grid has {grid.n_nodes}")
+    if zeta.size != spec.nodes:
+        raise InputError(f"threshold vector has {zeta.size} entries, spec has {spec.nodes} nodes")
     yv = _values_of(y)
     tail = -(batch @ yv)[:, None] > zeta
     m = len(tail)
-    g_zeta = grid.coeff * (1.0 - np.add.reduce(tail, axis=0) / m / (1.0 - grid.levels))
-    node_w = grid.coeff / (1.0 - grid.levels)
+    g_zeta = spec.coeff * (1.0 - np.add.reduce(tail, axis=0) / m / (1.0 - spec.levels))
+    node_w = spec.coeff / (1.0 - spec.levels)
     g_y = -(batch.T @ tail) @ node_w / m - budgets.values / yv
     if spec.subtract_mean:
         g_y = g_y + np.add.reduce(batch, axis=0) / m

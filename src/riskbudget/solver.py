@@ -41,7 +41,7 @@ from .risk import (ESMeanMixture, ExpectedShortfall, RiskMeasureSpec, Spectral,
                    SpecError, Volatility, ZetaState, _es_tmix_value_grad,
                    deviation_objective, deviation_subgradient,
                    empirical_objective_risk, empirical_risk, es_tmix,
-                   measure_label, ru_objective, ru_subgradient, spectral_grid,
+                   measure_label, ru_objective, ru_subgradient,
                    spectral_objective, spectral_subgradient, var_tmix,
                    volatility_value_and_gradient, warn_if_nonpositive_risk)
 
@@ -160,13 +160,12 @@ def _step_pair(spec: RiskMeasureSpec, budgets: Budgets):
     a wrapper installed on the module name sees every call.
     """
     if isinstance(spec, (ExpectedShortfall, ESMeanMixture)):
-        return partial(ru_objective, spec, budgets), partial(ru_subgradient, spec, budgets)
-    if isinstance(spec, Spectral):
-        grid = spectral_grid(spec)
-        return (partial(spectral_objective, spec, grid, budgets),
-                partial(spectral_subgradient, spec, grid, budgets))
-    return (partial(deviation_objective, spec, budgets),
-            partial(deviation_subgradient, spec, budgets))
+        objective, subgradient = ru_objective, ru_subgradient
+    elif isinstance(spec, Spectral):
+        objective, subgradient = spectral_objective, spectral_subgradient
+    else:
+        objective, subgradient = deviation_objective, deviation_subgradient
+    return partial(objective, spec, budgets), partial(subgradient, spec, budgets)
 
 
 def _sample_risk(spec: RiskMeasureSpec, x: np.ndarray, scale: float):

@@ -23,8 +23,7 @@ from riskbudget.cli import main
 from riskbudget.models import StudentTMixture
 from riskbudget.risk import (deviation_objective, deviation_subgradient,
                              empirical_risk, ru_objective, ru_subgradient,
-                             spectral_grid, spectral_objective,
-                             spectral_subgradient)
+                             spectral_objective, spectral_subgradient)
 from conftest import (CALM_VOL_ROW, STRESSED_ES_ROW, STRESSED_VOL_ROW,
                       TABLE_CONTRIBUTION, TABLE_WEIGHTS)
 
@@ -202,7 +201,7 @@ def _kink_free_points(rng, spec_kind, n_batch=160, d=3):
         y = np.exp(0.4 * rng.standard_normal(d))
         losses = -(batch @ y)
         if spec_kind == "spectral":
-            levels = spectral_grid(Spectral(c=0.2, nodes=4)).levels
+            levels = Spectral(c=0.2, nodes=4).levels
             zeta = np.quantile(losses, levels) + 0.013
             gaps = np.abs(losses[:, None] - zeta[None, :]).min()
         else:
@@ -219,26 +218,20 @@ def test_subgradient_finite_difference_agreement():
         h = 1e-6
         cases = [
             ("ru", ESMeanMixture(beta=1.1, delta=-0.5, alpha=0.9),
-             ru_objective, ru_subgradient, None),
+             ru_objective, ru_subgradient),
             ("spectral", Spectral(c=0.2, nodes=4, subtract_mean=True),
-             spectral_objective, spectral_subgradient,
-             spectral_grid(Spectral(c=0.2, nodes=4, subtract_mean=True))),
+             spectral_objective, spectral_subgradient),
             ("deviation", Deviation(a=1.7, b=0.6, p=1.0),
-             deviation_objective, deviation_subgradient, None),
+             deviation_objective, deviation_subgradient),
             ("deviation", Deviation(a=1.2, b=0.8, p=2.0),
-             deviation_objective, deviation_subgradient, None),
+             deviation_objective, deviation_subgradient),
         ]
-        for kind, spec, obj_fn, grad_fn, grid in cases:
+        for kind, spec, obj_fn, grad_fn in cases:
             rng = np.random.default_rng(rb.derive_seed(kind, spec.power))
             for _ in range(100):
                 batch, y, zeta = _kink_free_points(rng, kind)
-                if grid is None:
-                    obj = lambda yy, zz: obj_fn(spec, budgets, yy, zz, batch)
-                    grad = grad_fn(spec, budgets, y, zeta, batch)
-                else:
-                    obj = lambda yy, zz: obj_fn(spec, grid, budgets, yy, zz, batch)
-                    grad = grad_fn(spec, grid, budgets, y, zeta, batch)
-                g_y, g_z = grad
+                obj = lambda yy, zz: obj_fn(spec, budgets, yy, zz, batch)
+                g_y, g_z = grad_fn(spec, budgets, y, zeta, batch)
                 fd_y = np.empty_like(g_y)
                 for i in range(y.size):
                     e = np.zeros(y.size)

@@ -9,9 +9,8 @@ import pytest
 import riskbudget as rb
 from riskbudget import Budgets, SolverConfig, Volatility
 from riskbudget.bench import (BenchRow, ExperimentSpec, format_reference_table,
-                              read_bench_csv, run_accuracy_study,
-                              run_measure_comparison, run_reference,
-                              write_bench_csv, write_trace_csv)
+                              run_accuracy_study, run_measure_comparison,
+                              run_reference, write_bench_csv, write_trace_csv)
 from riskbudget.cli import main
 from riskbudget.models import model_to_dict
 
@@ -34,7 +33,13 @@ class TestBenchCsv:
                          12.82, 2.43, errors="1/10 failed: FitError: x")]
         path = tmp_path / "bench.csv"
         write_bench_csv(rows, path)
-        assert read_bench_csv(path) == rows
+        with open(path, newline="") as fh:
+            read = [BenchRow(int(rec["d"]), rec["method"], rec["setting"],
+                             float(rec["acc_mean"]), float(rec["acc_std"]),
+                             float(rec["time_mean"]), float(rec["time_std"]),
+                             errors=rec["errors"])
+                    for rec in csv.DictReader(fh)]
+        assert read == rows
 
     def test_timing_columns_removable(self, tmp_path):
         rows = [BenchRow(10, "sgd", "model_free", 5.5, 1.6, 1.1, 0.01)]
@@ -422,6 +427,21 @@ class TestFitAndSampleCommands:
             code = main([command, "--model", demo_model_path, "--config", str(cfg),
                          "--out", str(tmp_path)])
             assert code == 1
+
+    def test_solver_entry_naming_method_exits_1(self, tmp_path, demo_model_path, capsys):
+        # every command sets the method itself: solve from --method, reference
+        # forces "reference" and compare always runs SGD
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
+                                   "solver": {"method": "osbgd"}}))
+        measures = tmp_path / "measures.json"
+        measures.write_text(json.dumps([{"measure": "es", "alpha": 0.95}]))
+        common = ["--model", demo_model_path, "--config", str(cfg), "--out", str(tmp_path)]
+        for argv in (["solve", "--method", "osbgd", "--sample-size", "2000"], ["reference"],
+                     ["compare", "--measures", str(measures), "--sample-size", "2000"]):
+            capsys.readouterr()
+            assert main(argv + common) == 1
+            assert '"method"' in capsys.readouterr().err
 
     @pytest.mark.parametrize("solver", [
         {"batch_size": 2.5}, {"epochs": 1.5}, {"max_iters": -3}, {"max_iters": 0},

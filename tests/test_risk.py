@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +13,14 @@ from scipy.optimize import brentq
 
 import riskbudget as rb
 from riskbudget import (Budgets, Deviation, DeviationPlusMean, ESMeanMixture,
-                        ExpectedShortfall, Spectral, SpectralGrid, SpecError,
+                        ExpectedShortfall, Spectral, SpecError,
                         Volatility, empirical_es, empirical_var_method7,
                         es_tmix, loss_cdf_tmix, loss_pdf_tmix, var_tmix)
 from riskbudget.cli import main
 from riskbudget.models import StudentTMixture, _portfolio_params, _t_cdf, _t_pdf
 from riskbudget.risk import (_es_tmix_value_grad, deviation_objective,
                              deviation_subgradient, empirical_risk,
-                             ru_objective, ru_subgradient, spectral_grid,
+                             ru_objective, ru_subgradient,
                              spectral_objective, spectral_subgradient,
                              volatility_value_and_gradient)
 
@@ -68,7 +69,7 @@ class TestMeasureSpecs:
                  Deviation(a=2.0, b=1.0, p=1.5),
                  DeviationPlusMean(a=1.0, b=1.0, p=1.0, delta=1.0)]
         for spec in specs:
-            assert rb.measure_from_dict(rb.measure_to_dict(spec)) == spec
+            assert rb.measure_from_dict({"measure": spec.kind, **asdict(spec)}) == spec
 
     @pytest.mark.parametrize("doc", [
         {"measure": "es", "alpha": "x"},
@@ -77,8 +78,11 @@ class TestMeasureSpecs:
         {"measure": "spectral", "c": 0.5, "nodes": True},
         {"measure": "spectral", "c": 0.5, "subtract_mean": "false"},
         {"measure": "spectral", "c": 0.5, "node": 5},
-        {"measure": "deviation", "a": float("nan"), "b": 1, "p": 1}])
-    def test_bad_measure_document_rejected(self, tmp_path, capsys, doc):
+        {"measure": "deviation", "a": float("nan"), "b": 1, "p": 1},
+        # grids whose coefficients are all 0/0, or underflow to 0 at the first node
+        {"measure": "spectral", "c": 1e-4, "nodes": 3},
+        {"measure": "spectral", "c": 0.005, "nodes": 1000}])
+    def test_bad_measure_document_rejected(self, tmp_path, capsys, recwarn, doc):
         with pytest.raises(SpecError):
             rb.measure_from_dict(doc)
         cfg = tmp_path / "cfg.json"
@@ -88,6 +92,7 @@ class TestMeasureSpecs:
                      "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not recwarn.list
 
 
 class TestVarTmix:
@@ -342,48 +347,62 @@ def _assert_subgradient_matches_fd(obj, grad, y, zeta, rel=1e-5, h=1e-6):
     assert np.abs(fd_z - g_z).max() <= rel * scale
 
 
+def _oracle_spectral_grid(c, nodes):
+    # oracle: the midpoint-rule discretization of (1-s) dh(s), written out from (c, nodes)
+    ds = 0.999 / nodes
+    s = (np.arange(nodes) + 0.5) * ds
+    hprime = (1.0 / c - 1.0) * s ** (1.0 / c - 2.0) / c
+    coeff = (1.0 - s) * hprime * ds
+    return s, coeff / coeff.sum()
+
+
 class TestSpectralGrid:
+    @pytest.mark.parametrize("c", [0.01, 0.05, 0.2, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("nodes", [1, 2, 7, 20, 33, 100])
+    def test_grid_matches_oracle_bytes(self, c, nodes):
+        spec = Spectral(c=c, nodes=nodes)
+        levels, coeff = _oracle_spectral_grid(c, nodes)
+        assert spec.levels.tobytes() == levels.tobytes()
+        assert spec.coeff.tobytes() == coeff.tobytes()
+        for arr in (spec.levels, spec.coeff):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
     def test_single_node(self):
-        grid = spectral_grid(Spectral(c=0.3, nodes=1))
-        assert grid.n_nodes == 1
-        assert grid.coeff[0] == 1.0
-        assert abs(grid.levels[0] - 0.999 / 2.0) < 1e-15
+        spec = Spectral(c=0.3, nodes=1)
+        assert spec.levels.size == 1
+        assert spec.coeff[0] == 1.0
+        assert abs(spec.levels[0] - 0.999 / 2.0) < 1e-15
 
     def test_tail_concentration_c005(self):
         # oracle (1-s) h'(s) ds evaluated on the grid: increasing through the
         # 19th node with a dip at the final one, and far more tail mass than
         # a milder distortion
-        grid = spectral_grid(Spectral(c=0.05, nodes=20))
-        diffs = np.diff(grid.coeff)
+        spec = Spectral(c=0.05, nodes=20)
+        diffs = np.diff(spec.coeff)
         assert np.all(diffs[:18] > 0.0)
         assert diffs[18] < 0.0
-        mild = spectral_grid(Spectral(c=0.5, nodes=20))
-        assert grid.coeff[-5:].sum() > mild.coeff[-5:].sum()
+        mild = Spectral(c=0.5, nodes=20)
+        assert spec.coeff[-5:].sum() > mild.coeff[-5:].sum()
 
     def test_coefficients_normalized(self):
         for c in (0.05, 0.3, 0.9):
-            grid = spectral_grid(Spectral(c=c, nodes=33))
-            assert abs(grid.coeff.sum() - 1.0) < 1e-12
-            assert np.all(grid.coeff > 0.0)
-
-    def test_grid_validation(self):
-        with pytest.raises(SpecError):
-            SpectralGrid(np.array([0.5, 0.4]), np.array([0.5, 0.5]))
-        with pytest.raises(SpecError):
-            SpectralGrid(np.array([0.5]), np.array([0.9]))
+            spec = Spectral(c=c, nodes=33)
+            assert abs(spec.coeff.sum() - 1.0) < 1e-12
+            assert np.all(spec.coeff > 0.0)
 
 
 class TestSpectralObjective:
     def test_single_node_collapses_to_ru(self):
-        alpha = 0.9
-        grid = SpectralGrid(np.array([alpha]), np.array([1.0]))
         spec = Spectral(c=0.5, nodes=1)
-        es = ExpectedShortfall(alpha)
+        es = ExpectedShortfall(0.4995)  # the one node's level
+        assert spec.levels[0] == es.alpha and spec.coeff[0] == 1.0
         rng = np.random.default_rng(13)
         batch = rng.normal(size=(77, 3))
         y = np.array([0.5, 0.8, 0.2])
         zeta = np.array([0.3])
-        a = spectral_objective(spec, grid, B3, y, zeta, batch)
+        a = spectral_objective(spec, B3, y, zeta, batch)
         b = ru_objective(es, B3, y, zeta, batch)
         assert abs(a - b) < 1e-15
 
@@ -393,10 +412,9 @@ class TestSpectralObjective:
         rng = np.random.default_rng(14)
         losses = rng.standard_t(df=3, size=1000)
         spec = Spectral(c=0.2, nodes=5)
-        grid = spectral_grid(spec)
         scan_total = 0.0
-        zeta_star = np.empty(grid.n_nodes)
-        for k, (s, c) in enumerate(zip(grid.levels, grid.coeff)):
+        zeta_star = np.empty(spec.nodes)
+        for k, (s, c) in enumerate(zip(spec.levels, spec.coeff)):
             node_vals = np.array([z + np.maximum(losses - z, 0.0).mean() / (1 - s)
                                   for z in losses])
             scan_total += c * node_vals.min()
@@ -404,7 +422,7 @@ class TestSpectralObjective:
         batch = -losses[:, None]
         y = np.array([1.0])
         budgets = Budgets(np.array([1.0]))
-        got = spectral_objective(spec, grid, budgets, y, zeta_star, batch)
+        got = spectral_objective(spec, budgets, y, zeta_star, batch)
         assert abs(got - scan_total) < 1e-10
 
     def test_heavier_distortion_dominates(self):
@@ -417,9 +435,8 @@ class TestSpectralObjective:
 
     def test_zeta_length_mismatch(self):
         spec = Spectral(c=0.2, nodes=4)
-        grid = spectral_grid(spec)
         with pytest.raises(ValueError):
-            spectral_objective(spec, grid, B2, np.array([1.0, 1.0]),
+            spectral_objective(spec, B2, np.array([1.0, 1.0]),
                                np.zeros(3), np.zeros((5, 2)))
 
     def test_subtract_mean_equals_plain_minus_mean(self):
@@ -428,23 +445,21 @@ class TestSpectralObjective:
         y = np.array([0.7, 0.5])
         spec0 = Spectral(c=0.1, nodes=6)
         spec1 = Spectral(c=0.1, nodes=6, subtract_mean=True)
-        grid = spectral_grid(spec0)
         zeta = np.linspace(-1.0, 1.0, 6)
         losses = -(batch @ y)
-        a = spectral_objective(spec0, grid, B2, y, zeta, batch)
-        b = spectral_objective(spec1, grid, B2, y, zeta, batch)
+        a = spectral_objective(spec0, B2, y, zeta, batch)
+        b = spectral_objective(spec1, B2, y, zeta, batch)
         assert abs((a - losses.mean()) - b) < 1e-12
 
     def test_subgradient_matches_fd(self):
         spec = Spectral(c=0.2, nodes=4, subtract_mean=True)
-        grid = spectral_grid(spec)
         rng = np.random.default_rng(17)
         batch = rng.normal(size=(150, 3))
         y = np.array([0.9, 0.7, 1.2])
-        zeta = np.quantile(-(batch @ y), grid.levels) + 0.0123
+        zeta = np.quantile(-(batch @ y), spec.levels) + 0.0123
         _assert_subgradient_matches_fd(
-            lambda yy, zz: spectral_objective(spec, grid, B3, yy, zz, batch),
-            lambda yy, zz: spectral_subgradient(spec, grid, B3, yy, zz, batch),
+            lambda yy, zz: spectral_objective(spec, B3, yy, zz, batch),
+            lambda yy, zz: spectral_subgradient(spec, B3, yy, zz, batch),
             y, zeta)
 
 
@@ -538,21 +553,21 @@ def _oracle_ru_subgradient(spec, budgets, y, zeta, batch):
     return g_y, np.array([g_zeta])
 
 
-def _oracle_spectral_objective(spec, grid, budgets, y, zeta, batch):
+def _oracle_spectral_objective(spec, budgets, y, zeta, batch):
     losses = _oracle_losses(y, batch)
     hinge = np.maximum(losses[:, None] - zeta[None, :], 0.0).mean(axis=0)
-    nodes = zeta + hinge / (1.0 - grid.levels)
-    val = float(np.dot(grid.coeff, nodes)) + _oracle_barrier(budgets, y)
+    nodes = zeta + hinge / (1.0 - spec.levels)
+    val = float(np.dot(spec.coeff, nodes)) + _oracle_barrier(budgets, y)
     if spec.subtract_mean:
         val -= losses.mean()
     return val
 
 
-def _oracle_spectral_subgradient(spec, grid, budgets, y, zeta, batch):
+def _oracle_spectral_subgradient(spec, budgets, y, zeta, batch):
     losses = _oracle_losses(y, batch)
     tail = losses[:, None] > zeta[None, :]
-    g_zeta = grid.coeff * (1.0 - tail.mean(axis=0) / (1.0 - grid.levels))
-    node_w = grid.coeff / (1.0 - grid.levels)
+    g_zeta = spec.coeff * (1.0 - tail.mean(axis=0) / (1.0 - spec.levels))
+    node_w = spec.coeff / (1.0 - spec.levels)
     g_y = -(batch.T @ tail) @ node_w / len(losses) - budgets.values / y
     if spec.subtract_mean:
         g_y = g_y + batch.mean(axis=0)
@@ -592,14 +607,13 @@ def _oracle_deviation_subgradient(spec, budgets, y, zeta, batch):
 
 def _oracle_step_pair(spec, budgets):
     if isinstance(spec, (ExpectedShortfall, ESMeanMixture)):
-        return (lambda *a: _oracle_ru_objective(spec, budgets, *a),
-                lambda *a: _oracle_ru_subgradient(spec, budgets, *a))
-    if isinstance(spec, Spectral):
-        grid = spectral_grid(spec)
-        return (lambda *a: _oracle_spectral_objective(spec, grid, budgets, *a),
-                lambda *a: _oracle_spectral_subgradient(spec, grid, budgets, *a))
-    return (lambda *a: _oracle_deviation_objective(spec, budgets, *a),
-            lambda *a: _oracle_deviation_subgradient(spec, budgets, *a))
+        objective, subgradient = _oracle_ru_objective, _oracle_ru_subgradient
+    elif isinstance(spec, Spectral):
+        objective, subgradient = _oracle_spectral_objective, _oracle_spectral_subgradient
+    else:
+        objective, subgradient = _oracle_deviation_objective, _oracle_deviation_subgradient
+    return (lambda *a: objective(spec, budgets, *a),
+            lambda *a: subgradient(spec, budgets, *a))
 
 
 # the nine measures of tests/test_solver.py's Euler audit
