@@ -15,11 +15,11 @@ from .models import (EMConfig, GaussianMixture, ReturnSample, StudentTMixture,
 from .risk import (Deviation, DeviationPlusMean, ESMeanMixture,
                    ExpectedShortfall, RiskMeasureSpec, RiskPositivityWarning,
                    Spectral, SpecError, Volatility, ZetaState,
-                   deviation_objective, deviation_subgradient, empirical_es,
-                   empirical_risk, empirical_var_method7, es_tmix,
-                   measure_from_dict, measure_label, ru_objective,
-                   ru_subgradient, spectral_objective, spectral_subgradient,
-                   var_tmix, volatility_value_and_gradient)
+                   deviation_objective, deviation_subgradient, empirical_risk,
+                   empirical_var_method7, es_tmix, measure_from_dict,
+                   measure_label, ru_objective, ru_subgradient,
+                   spectral_objective, spectral_subgradient, var_tmix,
+                   volatility_value_and_gradient)
 from .solver import (SolveReport, SolverConfig, msbgd_solve,
                      multistart_uniqueness_check, osbgd_solve, reference_solve,
                      sgd_solve, solve)

@@ -109,6 +109,8 @@ def _cmd_solve(args) -> int:
         raise InputError("solve needs a --config JSON with a 'measure' entry")
     spec = measure_from_dict(doc["measure"])
     config = replace(_solver_config(args, doc), method=args.method)
+    if args.sample and args.model:
+        raise InputError("give --sample or --model, not both")
     if args.method in ("sgd", "osbgd"):
         if args.sample:
             data = load_sample(args.sample, header=args.header)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammaln, poch, stdtr
 
 from .core import InputError, NumericError, _is_finite, _is_int, _values_of
@@ -331,6 +330,7 @@ def _log_joint(xt, p, mu, chols, nu=None):
     the squared Mahalanobis distance, else None. The columns go in blocks of
     _SAMPLE_BLOCK_ROWS, and the elementwise chains run in place in the rows of
     the two outputs."""
+    from scipy.linalg import solve_triangular  # deferred: only EM needs scipy.linalg
     d, n = xt.shape
     out = np.empty((len(p), n))
     u = None if nu is None else np.empty((len(p), n))

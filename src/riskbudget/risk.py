@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import Budgets, InputError, NumericError, _is_finite, _is_int, _values_of
 from .models import StudentTMixture, _portfolio_params, _t_cdf, _t_pdf
@@ -355,6 +354,7 @@ def var_tmix(model: StudentTMixture, y, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise SpecError("alpha must lie in (0, 1)")
+    from scipy.optimize import brentq  # deferred: most commands never load scipy.optimize
     yv = _values_of(y)
     sig, m = _portfolio_params(model, yv)
     p, nu = model.weights, model.dof
@@ -436,12 +436,6 @@ def empirical_var_method7(losses, alpha: float) -> float:
         return float(lo)
     hi = part[j + 1:].min()    # the partition puts every larger order statistic there
     return float(lo + g * (hi - lo))
-
-
-def empirical_es(losses, alpha: float) -> float:
-    """Tail mean of losses at or above the method-7 empirical quantile."""
-    x = np.asarray(losses, dtype=float).ravel()
-    return float(x[_es_tail(x, alpha)].mean())
 
 
 def _es_tail(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -673,6 +667,7 @@ def dev_inner_zeta(spec, losses) -> float:
         return float((b ** p * np.maximum(z - x, 0.0) ** (p - 1.0)).sum()
                      - (a ** p * np.maximum(x - z, 0.0) ** (p - 1.0)).sum())
 
+    from scipy.optimize import brentq  # deferred, as in var_tmix
     return float(brentq(slope, lo, hi, xtol=1e-300, rtol=8.9e-16))
 
 

@@ -30,7 +30,6 @@ from functools import partial
 from itertools import chain, islice
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (Budgets, DivergenceError, InputError, NumericError,
                    RawAllocation, RiskContributionReport, Weights, _is_finite,
@@ -534,6 +533,7 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     def callback(intermediate_result):
         trace.append((len(trace), float(intermediate_result.fun)))
 
+    from scipy.optimize import minimize  # deferred: most commands never load scipy.optimize
     max_iters = config.max_iters or 1000
     t0 = time.perf_counter()
     res = minimize(objective, y_start, jac=True, method="L-BFGS-B",
@@ -563,8 +563,8 @@ def multistart_uniqueness_check(spec: RiskMeasureSpec, budgets: Budgets, data,
                                 config: SolverConfig, starts: int) -> float:
     """Re-solve from `starts` random interior points; return the maximum
     pairwise 100*L1 distance between the resulting weight vectors."""
-    if starts < 2:
-        raise InputError("need at least two starts")
+    if not _is_int(starts, 2):
+        raise InputError("starts must be an integer of at least 2")
     rng = np.random.default_rng(config.seed)
     results = []
     for i in range(starts):

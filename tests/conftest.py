@@ -13,6 +13,12 @@ STRESSED_ES_ROW = np.array([0.44055, 0.21511, 0.34434])
 STRESSED_VOL_ROW = np.array([0.52700, 0.22882, 0.24418])
 
 
+def empirical_es(losses, alpha):
+    """Tail mean of the losses at or above the method-7 empirical quantile."""
+    x = np.asarray(losses, dtype=float).ravel()
+    return float(x[x >= rb.empirical_var_method7(x, alpha)].mean())
+
+
 @pytest.fixture(scope="session")
 def tmix_demo():
     return rb.load_model(rb.bundled_model_path("tmix4_demo"))

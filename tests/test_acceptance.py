@@ -14,10 +14,9 @@ from scipy.integrate import quad
 
 import riskbudget as rb
 from riskbudget import (Budgets, Deviation, ESMeanMixture, ExpectedShortfall,
-                        SolverConfig, Spectral, Volatility, empirical_es,
-                        empirical_var_method7, es_tmix, l1_accuracy,
-                        multistart_uniqueness_check, reference_solve,
-                        sgd_solve, var_tmix)
+                        SolverConfig, Spectral, Volatility, empirical_var_method7,
+                        es_tmix, l1_accuracy, multistart_uniqueness_check,
+                        reference_solve, sgd_solve, var_tmix)
 from riskbudget.bench import ExperimentSpec, run_accuracy_study, run_measure_comparison
 from riskbudget.cli import main
 from riskbudget.models import StudentTMixture
@@ -25,7 +24,7 @@ from riskbudget.risk import (deviation_objective, deviation_subgradient,
                              empirical_risk, ru_objective, ru_subgradient,
                              spectral_objective, spectral_subgradient)
 from conftest import (CALM_VOL_ROW, STRESSED_ES_ROW, STRESSED_VOL_ROW,
-                      TABLE_CONTRIBUTION, TABLE_WEIGHTS)
+                      TABLE_CONTRIBUTION, TABLE_WEIGHTS, empirical_es)
 
 
 def golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> float:

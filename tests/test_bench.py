@@ -418,6 +418,22 @@ class TestFitAndSampleCommands:
         assert code == 0
         assert "asset 1: 0.1795" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["sgd", "osbgd", "msbgd", "reference"])
+    def test_solve_rejects_sample_with_model(self, tmp_path, demo_model_path, tmix_demo,
+                                             capsys, method):
+        # two data sources conflict; solve used to read one and drop the other
+        rb.save_sample(rb.sample_model(tmix_demo, 500, seed=3), tmp_path / "s.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
+                                   "solver": {"max_iters": 3, "resample_size": 2000}}))
+        code = main(["solve", "--method", method, "--sample", str(tmp_path / "s.csv"),
+                     "--model", demo_model_path, "--sample-size", "777",
+                     "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--sample" in err and "--model" in err
+        assert not (tmp_path / "out" / "solve_report.json").exists()
+
     @pytest.mark.parametrize("doc", [[1], {"solver": [1]}, {"solver": "fast"}, 5,
                                      ["measure"]])
     def test_malformed_solver_entry_exits_1(self, tmp_path, demo_model_path, doc):

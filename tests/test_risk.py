@@ -14,8 +14,8 @@ from scipy.optimize import brentq
 import riskbudget as rb
 from riskbudget import (Budgets, Deviation, DeviationPlusMean, ESMeanMixture,
                         ExpectedShortfall, Spectral, SpecError,
-                        Volatility, empirical_es, empirical_var_method7,
-                        es_tmix, loss_cdf_tmix, loss_pdf_tmix, var_tmix)
+                        Volatility, empirical_var_method7, es_tmix,
+                        loss_cdf_tmix, loss_pdf_tmix, var_tmix)
 from riskbudget.cli import main
 from riskbudget.models import StudentTMixture, _portfolio_params, _t_cdf, _t_pdf
 from riskbudget.risk import (_es_tmix_value_grad, deviation_objective,
@@ -23,6 +23,7 @@ from riskbudget.risk import (_es_tmix_value_grad, deviation_objective,
                              ru_objective, ru_subgradient,
                              spectral_objective, spectral_subgradient,
                              volatility_value_and_gradient)
+from conftest import empirical_es
 
 B2 = Budgets.equal(2)
 B3 = Budgets.equal(3)
@@ -847,12 +848,47 @@ class TestStudentTOracle:
         assert got == report_json()
 
     def test_package_import_leaves_scipy_stats_out(self):
-        # the package takes the t cdf and density from scipy.special: importing
-        # scipy.stats would add its import time to every CLI process
-        code = ("import sys, riskbudget, riskbudget.cli; "
-                "print('scipy.stats' in sys.modules)")
-        src = str(Path(rb.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        # the package takes the t cdf and density from scipy.special, and
+        # imports scipy.optimize and scipy.linalg inside their callers: each
+        # would add its import time to every CLI process
+        assert _scipy_loaded_by(None) == set()
+
+    @pytest.mark.parametrize("command, loaded", [
+        ("sample", set()), ("sgd", set()), ("osbgd", set()), ("msbgd", set()),
+        ("fit", {"scipy.linalg"}), ("reference", {"scipy.optimize", "scipy.linalg"})],
+        ids=["sample", "sgd", "osbgd", "msbgd", "fit", "reference"])
+    def test_cli_command_loads_only_what_it_runs(self, tmp_path, tmix_demo, command,
+                                                 loaded):
+        model = str(rb.bundled_model_path("tmix4_demo"))
+        sample = str(tmp_path / "s.csv")
+        rb.save_sample(rb.sample_model(tmix_demo, 2000, seed=5), sample)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
+                                   "solver": {"epochs": 1, "max_iters": 3,
+                                              "resample_size": 2000}}))
+        solve = ["solve", "--config", str(cfg), "--method", command]
+        argv = {"sample": ["sample", "--model", model, "-n", "500"],
+                "sgd": solve + ["--sample", sample], "osbgd": solve + ["--sample", sample],
+                "msbgd": solve + ["--model", model],
+                "fit": ["fit", "--sample", sample, "--family", "tmix", "--nu", "4.0,2.5"],
+                "reference": ["reference", "--model", model]}[command]
+        assert _scipy_loaded_by(argv + ["--out", str(tmp_path)]) == loaded
+
+
+def _scipy_loaded_by(argv):
+    """Which of scipy.stats, scipy.optimize and scipy.linalg a fresh
+    interpreter holds after importing the package and, unless argv is None,
+    running riskbudget.cli.main(argv), which must exit 0."""
+    script = ("import json, sys, riskbudget, riskbudget.cli\n"
+              "argv = json.loads(sys.argv[1])\n"
+              "code = 0 if argv is None else riskbudget.cli.main(argv)\n"
+              "print(json.dumps([code] + [m for m in ('scipy.stats', 'scipy.optimize',"
+              " 'scipy.linalg') if m in sys.modules]))")
+    src = str(Path(rb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    code, *loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stderr
+    return set(loaded)

@@ -18,8 +18,8 @@ from riskbudget import (Budgets, DivergenceError, ExpectedShortfall,
 from riskbudget import solver as solver_mod
 from riskbudget.models import StudentTMixture, derive_seed, sample_model
 from riskbudget.risk import (ZetaState, _hinge_power, dev_inner_zeta,
-                             empirical_es, empirical_objective_risk,
-                             empirical_risk)
+                             empirical_objective_risk, empirical_risk)
+from conftest import empirical_es
 
 
 def iid_t_model(d, sigma2=1e-4, nu=4.0):
@@ -729,6 +729,12 @@ class TestMultistart:
         with pytest.raises(ValueError):
             multistart_uniqueness_check(Volatility(), Budgets.equal(3), gmix_calm,
                                         SolverConfig(method="reference"), starts=1)
+
+    @pytest.mark.parametrize("starts", [3.0, "3"])
+    def test_non_integer_starts_rejected(self, gmix_calm, starts):
+        with pytest.raises(rb.InputError, match="starts"):
+            multistart_uniqueness_check(Volatility(), Budgets.equal(3), gmix_calm,
+                                        SolverConfig(method="reference"), starts=starts)
 
 
 def _oracle_sgd_solve(spec, budgets, sample, config, y0=None):
