@@ -9,9 +9,8 @@ from .core import (Budgets, DivergenceError, InputError,
                    normalize)
 from .models import (EMConfig, GaussianMixture, ReturnSample, StudentTMixture,
                      derive_seed, em_fit_gmix, em_fit_tmix, load_model,
-                     load_sample, loss_cdf_tmix, loss_pdf_tmix, sample_gmix,
-                     sample_model, sample_tmix, save_model, save_sample,
-                     synth_dgp)
+                     load_sample, sample_model, sample_tmix, save_model,
+                     save_sample, synth_dgp)
 from .risk import (Deviation, DeviationPlusMean, ESMeanMixture,
                    ExpectedShortfall, RiskMeasureSpec, RiskPositivityWarning,
                    Spectral, SpecError, Volatility, ZetaState,
@@ -24,7 +23,7 @@ from .solver import (SolveReport, SolverConfig, msbgd_solve,
                      multistart_uniqueness_check, osbgd_solve, reference_solve,
                      sgd_solve, solve)
 from .bench import (BenchRow, ExperimentSpec, run_accuracy_study,
-                    run_measure_comparison, run_reference)
+                    run_measure_comparison)
 
 __version__ = "0.1.0"
 

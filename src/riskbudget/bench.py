@@ -234,12 +234,6 @@ def format_bench_table(rows, include_timing: bool = True) -> str:
 # ---------------------------------------------------------------------------
 # reference portfolio
 
-def run_reference(model, budgets: Budgets, alpha: float,
-                  config: SolverConfig | None = None) -> SolveReport:
-    cfg = config or SolverConfig(method="reference")
-    return reference_solve(ExpectedShortfall(alpha), budgets, model, cfg)
-
-
 def format_reference_table(report: SolveReport) -> str:
     lines = [f"{'asset':>6} {'weight':>10} {'contribution':>14}"]
     for i, (w, c) in enumerate(zip(report.weights.values,

@@ -17,26 +17,18 @@ import numpy as np
 
 from .bench import (ExperimentSpec, format_bench_table, format_comparison_table,
                     format_reference_table, run_accuracy_study,
-                    run_measure_comparison, run_reference, write_bench_csv,
+                    run_measure_comparison, write_bench_csv,
                     write_comparison_csv, write_trace_csv)
 from .core import Budgets, InputError, NumericError
-from .models import (EMConfig, em_fit_gmix, em_fit_tmix, load_model, load_sample,
-                     sample_model, save_model, save_sample)
-from .risk import measure_from_dict
+from .models import (EMConfig, _load_json, em_fit_gmix, em_fit_tmix, load_model,
+                     load_sample, sample_model, save_model, save_sample)
+from .risk import ExpectedShortfall, measure_from_dict
 from .solver import SolverConfig, config_from_dict, solve
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _load_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 def _load_config(args) -> dict:
@@ -96,8 +88,8 @@ def _write_report(args, report, name: str) -> None:
 def _cmd_reference(args) -> int:
     model = load_model(args.model)
     budgets = _parse_budgets(args.budgets, model.dim)
-    report = run_reference(model, budgets, args.alpha,
-                           replace(_solver_config(args), method="reference"))
+    config = replace(_solver_config(args), method="reference")
+    report = solve(ExpectedShortfall(args.alpha), budgets, model, config)
     print(format_reference_table(report))
     _write_report(args, report, "reference_report.json")
     return 0
@@ -111,12 +103,15 @@ def _cmd_solve(args) -> int:
     config = replace(_solver_config(args, doc), method=args.method)
     if args.sample and args.model:
         raise InputError("give --sample or --model, not both")
+    if args.sample_size is not None and (args.sample or args.method not in ("sgd", "osbgd")):
+        raise InputError("--sample-size sizes only the --model draw of sgd and osbgd")
     if args.method in ("sgd", "osbgd"):
         if args.sample:
             data = load_sample(args.sample, header=args.header)
         elif args.model:
             model = load_model(args.model)
-            data = sample_model(model, args.sample_size, args.seed)
+            n = 1_000_000 if args.sample_size is None else args.sample_size
+            data = sample_model(model, n, args.seed)
         else:
             raise InputError("provide --sample or --model")
     else:
@@ -210,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample")
     p.add_argument("--header", action="store_true")
     p.add_argument("--budgets")
-    p.add_argument("--sample-size", type=int, default=1_000_000)
+    p.add_argument("--sample-size", type=int,
+                   help="rows drawn from --model for sgd and osbgd (default 1000000)")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("study", parents=[common], help="accuracy/time study")

@@ -55,6 +55,15 @@ def _positive_vector(x, what: str) -> np.ndarray:
     return v
 
 
+def _simplex_vector(x, what: str) -> np.ndarray:
+    v = _positive_vector(x, what)
+    if abs(v.sum() - 1.0) > SIMPLEX_ATOL:
+        raise InvalidAllocationError(
+            f"{what} sum to {v.sum()!r}, off the simplex by more than {SIMPLEX_ATOL}"
+        )
+    return v
+
+
 @dataclass(frozen=True)
 class Budgets:
     """Risk budgets: strictly positive shares of total risk summing to one."""
@@ -62,12 +71,7 @@ class Budgets:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _positive_vector(self.values, "budgets")
-        if abs(v.sum() - 1.0) > SIMPLEX_ATOL:
-            raise InvalidAllocationError(
-                f"budgets sum to {v.sum()!r}, off the simplex by more than {SIMPLEX_ATOL}"
-            )
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _simplex_vector(self.values, "budgets"))
 
     @property
     def dim(self) -> int:
@@ -86,12 +90,7 @@ class Weights:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _positive_vector(self.values, "weights")
-        if abs(v.sum() - 1.0) > SIMPLEX_ATOL:
-            raise InvalidAllocationError(
-                f"weights sum to {v.sum()!r}, off the simplex by more than {SIMPLEX_ATOL}"
-            )
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _simplex_vector(self.values, "weights"))
 
     @property
     def dim(self) -> int:

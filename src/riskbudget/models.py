@@ -1,6 +1,6 @@
 """Parametric return models: Gaussian and Student-t mixtures, seeded sampling,
-loss distribution evaluation, EM fitting with fixed degrees of freedom, and a
-synthetic data-generating-process builder for benchmark studies."""
+EM fitting with fixed degrees of freedom, and a synthetic
+data-generating-process builder for benchmark studies."""
 
 from __future__ import annotations
 
@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.special import gammaln, poch, stdtr
+from scipy.special import gammaln
 
-from .core import InputError, NumericError, _is_finite, _is_int, _values_of
+from .core import InputError, NumericError, _is_finite, _is_int
 
 PROB_ATOL = 1e-12
 SYM_ATOL = 1e-12
@@ -212,45 +212,8 @@ def sample_model(model: _Mixture, n: int, seed: int, out=None) -> ReturnSample:
     return ReturnSample(z)
 
 
-# each family's name for the one sampler
-sample_tmix = sample_gmix = sample_model
-
-
-# ---------------------------------------------------------------------------
-# loss distribution of -y'X under a Student-t mixture
-
-def _portfolio_params(model: StudentTMixture, y: np.ndarray):
-    y = _values_of(y)
-    sig2 = np.einsum("i,kij,j->k", y, model.scales, y)
-    if np.any(sig2 <= 0.0):
-        raise NumericError("degenerate portfolio scale")
-    return np.sqrt(sig2), model.locations @ y
-
-
-# The standard Student-t cdf and density at finite dof nu > 0, with the float
-# operations of scipy.stats.t (scipy 1.17) and so its bits, without the cost of
-# its generic argument handling or of importing scipy.stats (about half a
-# second of a cold start on a 2-vCPU x86 host).
-
-def _t_cdf(t, nu):
-    return stdtr(nu, t)
-
-
-def _t_pdf(t, nu):
-    return np.exp(np.log(poch(0.5 * nu, 0.5)) - 0.5 * (np.log(nu) + np.log(np.pi))
-                  - (nu + 1) / 2 * np.log1p(t * t / nu))
-
-
-def loss_cdf_tmix(model: StudentTMixture, y, z: float) -> float:
-    """P(-y'X <= z): mixture of standard-t cdfs at (z + y'mu_k) / sqrt(y'L_k y)."""
-    sig, m = _portfolio_params(model, y)
-    return float(np.dot(model.weights, _t_cdf((z + m) / sig, model.dof)))
-
-
-def loss_pdf_tmix(model: StudentTMixture, y, z: float) -> float:
-    """Density of the loss -y'X at z."""
-    sig, m = _portfolio_params(model, y)
-    return float(np.dot(model.weights / sig, _t_pdf((z + m) / sig, model.dof)))
+# the Student-t mixture's name for the one sampler
+sample_tmix = sample_model
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +493,16 @@ def save_model(model, path) -> None:
         fh.write("\n")
 
 
-def load_model(path):
+def _load_json(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return model_from_dict(doc)
+
+
+def load_model(path):
+    return model_from_dict(_load_json(path))
 
 
 def save_sample(sample: ReturnSample, path, header: bool = False) -> None:

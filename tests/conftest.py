@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import riskbudget as rb
+from riskbudget.risk import _portfolio_params, _t_cdf, _t_pdf
 
 # reference portfolio of the bundled four-asset Student-t demo model
 TABLE_WEIGHTS = np.array([0.17958, 0.28127, 0.30483, 0.23432])
@@ -17,6 +18,18 @@ def empirical_es(losses, alpha):
     """Tail mean of the losses at or above the method-7 empirical quantile."""
     x = np.asarray(losses, dtype=float).ravel()
     return float(x[x >= rb.empirical_var_method7(x, alpha)].mean())
+
+
+def loss_cdf_tmix(model, y, z: float) -> float:
+    """P(-y'X <= z): mixture of standard-t cdfs at (z + y'mu_k) / sqrt(y'L_k y)."""
+    sig, m = _portfolio_params(model, y)
+    return float(np.dot(model.weights, _t_cdf((z + m) / sig, model.dof)))
+
+
+def loss_pdf_tmix(model, y, z: float) -> float:
+    """Density of the loss -y'X at z."""
+    sig, m = _portfolio_params(model, y)
+    return float(np.dot(model.weights / sig, _t_pdf((z + m) / sig, model.dof)))
 
 
 @pytest.fixture(scope="session")

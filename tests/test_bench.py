@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import riskbudget as rb
-from riskbudget import Budgets, SolverConfig, Volatility
+from riskbudget import Budgets, ExpectedShortfall, SolverConfig, Volatility, reference_solve
 from riskbudget.bench import (BenchRow, ExperimentSpec, format_reference_table,
                               run_accuracy_study, run_measure_comparison,
-                              run_reference, write_bench_csv, write_trace_csv)
+                              write_bench_csv, write_trace_csv)
 from riskbudget.cli import main
 from riskbudget.models import model_to_dict
 
@@ -51,10 +51,32 @@ class TestBenchCsv:
 
 class TestReferenceCommand:
     def test_table_has_five_decimals(self, tmix_demo):
-        report = run_reference(tmix_demo, Budgets.equal(4), 0.95)
+        report = reference_solve(ExpectedShortfall(0.95), Budgets.equal(4), tmix_demo)
         table = format_reference_table(report)
         assert "0.17959" in table or "0.17958" in table
         assert "0.00805" in table or "0.00806" in table
+
+    @pytest.mark.parametrize("which, budgets", [
+        ("tmix4_demo", None),
+        ("synth10", "0.05,0.05,0.1,0.1,0.1,0.1,0.1,0.1,0.15,0.15")],
+        ids=["tmix4_demo", "synth10"])
+    def test_reference_command_is_solve_reference(self, tmp_path, which, budgets):
+        # `reference --alpha a` is `solve --method reference` on ES(a)
+        if which == "synth10":
+            model_path = str(tmp_path / "synth10.json")
+            rb.save_model(rb.synth_dgp(10, 7), model_path)
+        else:
+            model_path = str(rb.bundled_model_path(which))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.9}}))
+        common = ["--model", model_path, "--seed", "3", "--no-timing",
+                  *(["--budgets", budgets] if budgets else [])]
+        assert main(["reference", "--alpha", "0.9", *common,
+                     "--out", str(tmp_path / "ref")]) == 0
+        assert main(["solve", "--method", "reference", "--config", str(cfg), *common,
+                     "--out", str(tmp_path / "solve")]) == 0
+        assert ((tmp_path / "ref" / "reference_report.json").read_bytes()
+                == (tmp_path / "solve" / "solve_report.json").read_bytes())
 
     def test_cli_reference(self, tmp_path, demo_model_path, capsys):
         code = main(["reference", "--model", demo_model_path,
@@ -373,7 +395,8 @@ class TestTraceCommand:
         # --model draws the same 2000 rows at --seed 5 that --sample reads
         sample = rb.sample_model(tmix_demo, 2000, seed=5)
         rb.save_sample(sample, tmp_path / "s.csv")
-        data = {"--model": demo_model_path, "--sample": str(tmp_path / "s.csv")}[source]
+        data = {"--model": [demo_model_path, "--sample-size", "2000"],
+                "--sample": [str(tmp_path / "s.csv")]}[source]
         solver = {"epochs": 1, "max_iters": 20}
         out = {}
         for method in ("sgd", "osbgd"):
@@ -382,8 +405,8 @@ class TestTraceCommand:
                 cfg.write_text(json.dumps({"measure": measure, "solver": {
                     **solver, **({"record_iterates": True} if traced else {})}}))
                 out[method, traced] = tmp_path / method / str(traced)
-                assert main(["solve", "--method", method, source, data,
-                             "--sample-size", "2000", "--seed", "5", "--config", str(cfg),
+                assert main(["solve", "--method", method, source, *data,
+                             "--seed", "5", "--config", str(cfg),
                              "--no-timing", "--out", str(out[method, traced])]) == 0
         want = rb.sgd_solve(rb.measure_from_dict(measure), Budgets.equal(4), sample,
                             SolverConfig(**solver, seed=5, record_iterates=True))
@@ -434,6 +457,39 @@ class TestFitAndSampleCommands:
         assert "--sample" in err and "--model" in err
         assert not (tmp_path / "out" / "solve_report.json").exists()
 
+    @pytest.mark.parametrize("method, source", [("sgd", "--sample"), ("osbgd", "--sample"),
+                                                ("msbgd", "--model"), ("reference", "--model")])
+    def test_solve_rejects_sample_size_that_sizes_no_draw(self, tmp_path, demo_model_path,
+                                                          tmix_demo, capsys, method, source):
+        # only a --model draw for sgd or osbgd reads --sample-size
+        rb.save_sample(rb.sample_model(tmix_demo, 500, seed=3), tmp_path / "s.csv")
+        data = {"--sample": str(tmp_path / "s.csv"), "--model": demo_model_path}[source]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
+                                   "solver": {"max_iters": 3, "resample_size": 2000}}))
+        code = main(["solve", "--method", method, source, data, "--sample-size", "777",
+                     "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "--sample-size" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "solve_report.json").exists()
+
+    def test_solve_draws_a_million_rows_by_default(self, tmp_path, demo_model_path,
+                                                   monkeypatch):
+        sizes = []
+
+        def small_draw(model, n, seed):
+            sizes.append(n)
+            return rb.sample_model(model, 500, seed)
+
+        monkeypatch.setattr(rb.cli, "sample_model", small_draw)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
+                                   "solver": {"max_iters": 3}}))
+        for size in ([], ["--sample-size", "2000"]):
+            assert main(["solve", "--method", "osbgd", "--model", demo_model_path, *size,
+                         "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert sizes == [1_000_000, 2000]
+
     @pytest.mark.parametrize("doc", [[1], {"solver": [1]}, {"solver": "fast"}, 5,
                                      ["measure"]])
     def test_malformed_solver_entry_exits_1(self, tmp_path, demo_model_path, doc):
@@ -467,10 +523,11 @@ class TestFitAndSampleCommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
                                    "solver": solver}))
-        for command in (["solve", "--method", "osbgd"], ["solve", "--method", "msbgd"],
-                        ["solve", "--method", "sgd"]):
+        for command in (["solve", "--method", "osbgd", "--sample-size", "2000"],
+                        ["solve", "--method", "msbgd"],
+                        ["solve", "--method", "sgd", "--sample-size", "2000"]):
             code = main(command + ["--model", demo_model_path, "--config", str(cfg),
-                                   "--sample-size", "2000", "--out", str(tmp_path)])
+                                   "--out", str(tmp_path)])
             assert code == 1
 
     @pytest.mark.parametrize("command, doc", [
@@ -542,7 +599,7 @@ class TestFitAndSampleCommands:
 
     def test_fit_gmix(self, tmp_path, capsys):
         model = rb.load_model(rb.bundled_model_path("gmix3_stressed"))
-        sample = rb.sample_gmix(model, 5000, seed=8)
+        sample = rb.sample_model(model, 5000, seed=8)
         rb.save_sample(sample, tmp_path / "s.csv", header=True)
         code = main(["fit", "--sample", str(tmp_path / "s.csv"), "--header",
                      "--family", "gmix", "--components", "2", "--out", str(tmp_path)])
@@ -553,9 +610,10 @@ class TestFitAndSampleCommands:
 
 class TestDeterminism:
     def test_cli_rerun_byte_identical(self, tmp_path, demo_model_path):
-        for method, solver in [("sgd", {"epochs": 2}),
-                               ("osbgd", {"max_iters": 5, "resample_size": 4000}),
-                               ("msbgd", {"max_iters": 5, "resample_size": 4000})]:
+        size = ["--sample-size", "20000"]
+        for method, solver, draw in [("sgd", {"epochs": 2}, size),
+                                     ("osbgd", {"max_iters": 5, "resample_size": 4000}, size),
+                                     ("msbgd", {"max_iters": 5, "resample_size": 4000}, [])]:
             outs = []
             for run in ("a", "b"):
                 out = tmp_path / method / run
@@ -563,7 +621,7 @@ class TestDeterminism:
                 cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
                                            "solver": solver}))
                 code = main(["solve", "--method", method, "--model", demo_model_path,
-                             "--sample-size", "20000", "--seed", "9",
+                             *draw, "--seed", "9",
                              "--config", str(cfg), "--no-timing", "--out", str(out)])
                 assert code == 0
                 outs.append((out / "solve_report.json").read_bytes())

@@ -13,12 +13,13 @@ from scipy.special import gammaln, logsumexp
 import riskbudget as rb
 from riskbudget import (EMConfig, GaussianMixture, ReturnSample,
                         StudentTMixture, em_fit_gmix, em_fit_tmix,
-                        loss_cdf_tmix, loss_pdf_tmix, sample_gmix,
-                        sample_tmix, synth_dgp)
+                        sample_model, sample_tmix, synth_dgp)
 from riskbudget.core import InputError
 from riskbudget.models import (_EM_RIDGE, ModelError, _kmeanspp_responsibilities,
                                _normalize_columns, _safe_cholesky,
                                mixture_loglik, model_from_dict)
+
+from conftest import loss_cdf_tmix, loss_pdf_tmix
 
 
 def make_tmix(p, mu, scales, nu):
@@ -102,7 +103,6 @@ def test_families_share_one_body(family):
     assert (model.dof is None) == (family is GaussianMixture)
     want = rb.sample_model(model, 5000, seed=3).data.tobytes()
     assert sample_tmix(model, 5000, seed=3).data.tobytes() == want
-    assert sample_gmix(model, 5000, seed=3).data.tobytes() == want
 
 
 class TestSampleTmix:
@@ -149,13 +149,13 @@ class TestSampleTmix:
 
 class TestSampleGmix:
     def test_single_component_covariance(self, gmix_calm):
-        x = sample_gmix(gmix_calm, 10 ** 5, seed=3).data
+        x = sample_model(gmix_calm, 10 ** 5, seed=3).data
         cov = np.cov(x.T)
         target = gmix_calm.scales[0]
         assert np.abs(cov - target).max() < 0.05 * np.abs(target).max()
 
     def test_stressed_mixture_negative_skew(self, gmix_stressed):
-        x = sample_gmix(gmix_stressed, 10 ** 5, seed=4).data
+        x = sample_model(gmix_stressed, 10 ** 5, seed=4).data
         assert stats.skew(x[:, 1]) < 0.0
 
     def test_collapsed_mixture_is_gaussian(self):
@@ -164,8 +164,8 @@ class TestSampleGmix:
         two = GaussianMixture(np.array([0.5, 0.5]), np.array([mu, mu]),
                               np.array([cov, cov]))
         one = GaussianMixture(np.array([1.0]), np.array([mu]), np.array([cov]))
-        a = sample_gmix(two, 20_000, seed=5).data
-        b = sample_gmix(one, 20_000, seed=6).data
+        a = sample_model(two, 20_000, seed=5).data
+        b = sample_model(one, 20_000, seed=6).data
         proj = np.array([0.7, 0.3])
         stat = stats.ks_2samp(a @ proj, b @ proj)
         assert stat.pvalue > 0.01
@@ -205,7 +205,7 @@ def _oracle_sample_gmix(model, n, seed):
 
 def _assert_same_draws(model, n, seed):
     student = isinstance(model, StudentTMixture)
-    got = (sample_tmix if student else sample_gmix)(model, n, seed).data
+    got = (sample_tmix if student else sample_model)(model, n, seed).data
     want, counts = (_oracle_sample_tmix if student else _oracle_sample_gmix)(model, n, seed)
     if np.any(counts == 1):
         # the oracle transforms a component's single row as a one-row matmul,
@@ -276,10 +276,10 @@ class TestSamplerOracle:
     @pytest.mark.parametrize("block", [2, 5, 1000])
     def test_block_size_leaves_bytes(self, monkeypatch, tmix_demo, gmix_stressed, block):
         want = [sample_tmix(tmix_demo, 3001, seed=30).data.tobytes(),
-                sample_gmix(gmix_stressed, 3001, seed=30).data.tobytes()]
+                sample_model(gmix_stressed, 3001, seed=30).data.tobytes()]
         monkeypatch.setattr(rb.models, "_SAMPLE_BLOCK_ROWS", block)
         got = [sample_tmix(tmix_demo, 3001, seed=30).data.tobytes(),
-               sample_gmix(gmix_stressed, 3001, seed=30).data.tobytes()]
+               sample_model(gmix_stressed, 3001, seed=30).data.tobytes()]
         assert got == want
 
     @pytest.mark.parametrize("name", ["synth10", "tmix4_demo", "gmix3_stressed", "rare"])
@@ -425,13 +425,13 @@ class TestEMGaussian:
         data = sample_tmix(tmix_demo, n, seed=16)
         fitted = em_fit_gmix(data, 2, EMConfig(seed=0, tol=1e-7, max_iters=150))
         y = np.full(4, 0.25)
-        sim = sample_gmix(fitted, n, seed=17)
+        sim = sample_model(fitted, n, seed=17)
         emp_q = np.quantile(-(data.data @ y), 0.9999)
         fit_q = np.quantile(-(sim.data @ y), 0.9999)
         assert fit_q < emp_q
 
     def test_label_permutation_invariance(self, gmix_stressed):
-        x = sample_gmix(gmix_stressed, 300, seed=18)
+        x = sample_model(gmix_stressed, 300, seed=18)
         swapped = GaussianMixture(gmix_stressed.weights[::-1],
                                   gmix_stressed.locations[::-1],
                                   gmix_stressed.scales[::-1])
@@ -541,7 +541,7 @@ class TestEMOracle:
         assert abs(mixture_loglik(fitted, sample) - want) <= 1e-12 * abs(want)
 
     def test_gaussian_matches_row_major_oracle(self, gmix_stressed):
-        sample = sample_gmix(gmix_stressed, 2 * 10 ** 4, seed=32)
+        sample = sample_model(gmix_stressed, 2 * 10 ** 4, seed=32)
         fitted, trace = em_fit_gmix(sample, 2, self.CONFIG, return_trace=True)
         p, mu, mats, want_trace = _oracle_em(sample.data, 2, self.CONFIG)
         assert len(trace) == len(want_trace)

@@ -14,16 +14,15 @@ from scipy.optimize import brentq
 import riskbudget as rb
 from riskbudget import (Budgets, Deviation, DeviationPlusMean, ESMeanMixture,
                         ExpectedShortfall, Spectral, SpecError,
-                        Volatility, empirical_var_method7, es_tmix,
-                        loss_cdf_tmix, loss_pdf_tmix, var_tmix)
+                        Volatility, empirical_var_method7, es_tmix, var_tmix)
 from riskbudget.cli import main
-from riskbudget.models import StudentTMixture, _portfolio_params, _t_cdf, _t_pdf
-from riskbudget.risk import (_es_tmix_value_grad, deviation_objective,
-                             deviation_subgradient, empirical_risk,
-                             ru_objective, ru_subgradient,
+from riskbudget.models import StudentTMixture
+from riskbudget.risk import (_es_tmix_value_grad, _portfolio_params, _t_cdf, _t_pdf,
+                             deviation_objective, deviation_subgradient,
+                             empirical_risk, ru_objective, ru_subgradient,
                              spectral_objective, spectral_subgradient,
                              volatility_value_and_gradient)
-from conftest import empirical_es
+from conftest import empirical_es, loss_cdf_tmix, loss_pdf_tmix
 
 B2 = Budgets.equal(2)
 B3 = Budgets.equal(3)
@@ -117,7 +116,6 @@ class TestVarTmix:
             assert abs(scaled - lam * base) <= 1e-12 * abs(lam * base)
 
     def test_cdf_consistency(self, tmix_demo):
-        from riskbudget import loss_cdf_tmix
         y = np.array([0.17958, 0.28127, 0.30483, 0.23432])
         v = var_tmix(tmix_demo, y, 0.95)
         assert abs(loss_cdf_tmix(tmix_demo, y, v) - 0.95) < 1e-10
