@@ -39,14 +39,15 @@ def _load_config(args) -> dict:
     return doc
 
 
-def _parse_budgets(text: str | None, d: int) -> Budgets:
-    if text is None:
-        return Budgets.equal(d)
+def _parse_floats(text: str, what: str) -> np.ndarray:
     try:
-        values = [float(v) for v in text.split(",")]
+        return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
-        raise InputError(f"malformed budget list {text!r}") from exc
-    return Budgets(np.asarray(values))
+        raise InputError(f"malformed {what} list {text!r}") from exc
+
+
+def _parse_budgets(text: str | None, d: int) -> Budgets:
+    return Budgets.equal(d) if text is None else Budgets(_parse_floats(text, "budget"))
 
 
 def _solver_config(args, doc: dict | None = None) -> SolverConfig:
@@ -103,15 +104,16 @@ def _cmd_solve(args) -> int:
     config = replace(_solver_config(args, doc), method=args.method)
     if args.sample and args.model:
         raise InputError("give --sample or --model, not both")
+    if args.header and not args.sample:
+        raise InputError("--header describes only a --sample file")
     if args.sample_size is not None and (args.sample or args.method not in ("sgd", "osbgd")):
         raise InputError("--sample-size sizes only the --model draw of sgd and osbgd")
     if args.method in ("sgd", "osbgd"):
         if args.sample:
             data = load_sample(args.sample, header=args.header)
         elif args.model:
-            model = load_model(args.model)
             n = 1_000_000 if args.sample_size is None else args.sample_size
-            data = sample_model(model, n, args.seed)
+            data = sample_model(load_model(args.model), n, args.seed)
         else:
             raise InputError("provide --sample or --model")
     else:
@@ -154,15 +156,18 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    tmix = args.family == "tmix"
+    if tmix != (args.nu is not None):
+        raise InputError("tmix fits need --nu, e.g. --nu 4.0,2.5" if tmix
+                         else "--nu fixes the dof of a tmix fit; gmix has none")
+    if tmix:
+        nu = _parse_floats(args.nu, "dof")
+        if nu.size != args.components:
+            raise InputError(f"--nu gives {nu.size} dof for --components {args.components}")
     sample = load_sample(args.sample, header=args.header)
     config = EMConfig(seed=args.seed)
-    if args.family == "tmix":
-        if not args.nu:
-            raise InputError("tmix fits need --nu, e.g. --nu 4.0,2.5")
-        nu = np.array([float(v) for v in args.nu.split(",")])
-        model = em_fit_tmix(sample, args.components, nu, config)
-    else:
-        model = em_fit_gmix(sample, args.components, config)
+    model = (em_fit_tmix(sample, args.components, nu, config) if tmix
+             else em_fit_gmix(sample, args.components, config))
     path = _out_path(args, "model_fit.json")
     save_model(model, path)
     print(f"wrote {path}")

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import InputError, NumericError, _is_finite, _is_int
 
@@ -294,6 +293,7 @@ def _log_joint(xt, p, mu, chols, nu=None):
     _SAMPLE_BLOCK_ROWS, and the elementwise chains run in place in the rows of
     the two outputs."""
     from scipy.linalg import solve_triangular  # deferred: only EM needs scipy.linalg
+    from scipy.special import gammaln          # deferred too: only EM and the t evaluators need it
     d, n = xt.shape
     out = np.empty((len(p), n))
     u = None if nu is None else np.empty((len(p), n))

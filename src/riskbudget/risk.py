@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import poch, stdtr
 
 from .core import Budgets, InputError, NumericError, _is_finite, _is_int, _values_of
 from .models import StudentTMixture
@@ -353,13 +352,17 @@ def _portfolio_params(model: StudentTMixture, y: np.ndarray):
 # The standard Student-t cdf and density at finite dof nu > 0, with the float
 # operations of scipy.stats.t (scipy 1.17) and so its bits, without the cost of
 # its generic argument handling or of importing scipy.stats (about half a
-# second of a cold start on a 2-vCPU x86 host).
+# second of a cold start on a 2-vCPU x86 host). Each imports its scipy.special
+# function when called, not at package import: only the exact evaluators and
+# EM need scipy.special, and importing it would double the package's import time.
 
 def _t_cdf(t, nu):
+    from scipy.special import stdtr
     return stdtr(nu, t)
 
 
 def _t_pdf(t, nu):
+    from scipy.special import poch
     return np.exp(np.log(poch(0.5 * nu, 0.5)) - 0.5 * (np.log(nu) + np.log(np.pi))
                   - (nu + 1) / 2 * np.log1p(t * t / nu))
 
@@ -374,12 +377,13 @@ def var_tmix(model: StudentTMixture, y, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise SpecError("alpha must lie in (0, 1)")
     from scipy.optimize import brentq  # deferred: most commands never load scipy.optimize
+    from scipy.special import stdtr    # once per call: cdf inlines _t_cdf, so loops import nothing
     yv = _values_of(y)
     sig, m = _portfolio_params(model, yv)
     p, nu = model.weights, model.dof
 
     def cdf(z):
-        return float(np.dot(p, _t_cdf((z + m) / sig, nu)))
+        return float(np.dot(p, stdtr(nu, (z + m) / sig)))
 
     radius = float(np.abs(m).max() + 10.0 * sig.max())
     lo, hi = -radius, radius

@@ -490,6 +490,34 @@ class TestFitAndSampleCommands:
                          "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert sizes == [1_000_000, 2000]
 
+    @pytest.mark.parametrize("method", ["sgd", "osbgd", "msbgd", "reference"])
+    def test_solve_rejects_header_without_sample(self, tmp_path, demo_model_path, capsys,
+                                                 method):
+        # --header describes a --sample file; with --model it would go unread
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
+                                   "solver": {"max_iters": 3, "resample_size": 2000}}))
+        size = ["--sample-size", "2000"] if method in ("sgd", "osbgd") else []
+        code = main(["solve", "--method", method, "--model", demo_model_path, "--header",
+                     *size, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "--header" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "solve_report.json").exists()
+
+    @pytest.mark.parametrize("family, nu, flags", [
+        ("gmix", "4.0,2.5", ["--nu"]), ("tmix", "4.0,x", ["malformed dof list", "'4.0,x'"]),
+        ("tmix", "4.0", ["--nu", "--components"]),
+        ("tmix", "4.0,2.5,3.0", ["--nu", "--components"])],
+        ids=["gmix-with-nu", "malformed", "too-few", "too-many"])
+    def test_fit_rejects_nu_misuse(self, tmp_path, tmix_demo, capsys, family, nu, flags):
+        rb.save_sample(rb.sample_model(tmix_demo, 500, seed=3), tmp_path / "s.csv")
+        code = main(["fit", "--sample", str(tmp_path / "s.csv"), "--family", family,
+                     "--components", "2", "--nu", nu, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags), err
+        assert not (tmp_path / "out" / "model_fit.json").exists()
+
     @pytest.mark.parametrize("doc", [[1], {"solver": [1]}, {"solver": "fast"}, 5,
                                      ["measure"]])
     def test_malformed_solver_entry_exits_1(self, tmp_path, demo_model_path, doc):

@@ -26,6 +26,7 @@ from conftest import empirical_es, loss_cdf_tmix, loss_pdf_tmix
 
 B2 = Budgets.equal(2)
 B3 = Budgets.equal(3)
+ES95 = {"measure": "es", "alpha": 0.95}
 
 
 def single_t(nu=4.0, d=2, scale=1.0, loc=None):
@@ -845,23 +846,27 @@ class TestStudentTOracle:
                             lambda *a: _oracle_es_tmix_value_grad(*a)[0])
         assert got == report_json()
 
-    def test_package_import_leaves_scipy_stats_out(self):
+    def test_package_import_loads_no_scipy(self):
         # the package takes the t cdf and density from scipy.special, and
-        # imports scipy.optimize and scipy.linalg inside their callers: each
-        # would add its import time to every CLI process
-        assert _scipy_loaded_by(None) == set()
+        # imports scipy.special, scipy.optimize and scipy.linalg inside their
+        # callers: each would add its import time to every CLI process
+        assert _scipy_loaded_by(None) == (set(), False)
 
-    @pytest.mark.parametrize("command, loaded", [
-        ("sample", set()), ("sgd", set()), ("osbgd", set()), ("msbgd", set()),
-        ("fit", {"scipy.linalg"}), ("reference", {"scipy.optimize", "scipy.linalg"})],
-        ids=["sample", "sgd", "osbgd", "msbgd", "fit", "reference"])
+    @pytest.mark.parametrize("command, measure, loaded", [
+        ("sample", ES95, set()), ("sgd", ES95, set()), ("osbgd", ES95, set()),
+        ("msbgd", ES95, set()), ("sgd", {"measure": "spectral", "c": 0.05, "nodes": 8}, set()),
+        ("osbgd", {"measure": "deviation", "a": 1, "b": 1, "p": 1}, set()),
+        ("fit", ES95, {"scipy.special", "scipy.linalg"}),
+        ("reference", ES95, {"scipy.special", "scipy.optimize", "scipy.linalg"})],
+        ids=["sample", "sgd", "osbgd", "msbgd", "sgd-spectral", "osbgd-deviation", "fit",
+             "reference"])
     def test_cli_command_loads_only_what_it_runs(self, tmp_path, tmix_demo, command,
-                                                 loaded):
+                                                 measure, loaded):
         model = str(rb.bundled_model_path("tmix4_demo"))
         sample = str(tmp_path / "s.csv")
         rb.save_sample(rb.sample_model(tmix_demo, 2000, seed=5), sample)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"measure": {"measure": "es", "alpha": 0.95},
+        cfg.write_text(json.dumps({"measure": measure,
                                    "solver": {"epochs": 1, "max_iters": 3,
                                               "resample_size": 2000}}))
         solve = ["solve", "--config", str(cfg), "--method", command]
@@ -870,23 +875,25 @@ class TestStudentTOracle:
                 "msbgd": solve + ["--model", model],
                 "fit": ["fit", "--sample", sample, "--family", "tmix", "--nu", "4.0,2.5"],
                 "reference": ["reference", "--model", model]}[command]
-        assert _scipy_loaded_by(argv + ["--out", str(tmp_path)]) == loaded
+        assert _scipy_loaded_by(argv + ["--out", str(tmp_path)]) == (loaded, bool(loaded))
 
 
 def _scipy_loaded_by(argv):
-    """Which of scipy.stats, scipy.optimize and scipy.linalg a fresh
-    interpreter holds after importing the package and, unless argv is None,
-    running riskbudget.cli.main(argv), which must exit 0."""
+    """Which of scipy.stats, scipy.special, scipy.optimize and scipy.linalg a
+    fresh interpreter holds, and whether it holds any scipy module at all,
+    after importing the package and, unless argv is None, running
+    riskbudget.cli.main(argv), which must exit 0."""
     script = ("import json, sys, riskbudget, riskbudget.cli\n"
               "argv = json.loads(sys.argv[1])\n"
               "code = 0 if argv is None else riskbudget.cli.main(argv)\n"
-              "print(json.dumps([code] + [m for m in ('scipy.stats', 'scipy.optimize',"
-              " 'scipy.linalg') if m in sys.modules]))")
+              "named = ('scipy.stats', 'scipy.special', 'scipy.optimize', 'scipy.linalg')\n"
+              "print(json.dumps([code, any(m == 'scipy' or m.startswith('scipy.')"
+              " for m in sys.modules)] + [m for m in named if m in sys.modules]))")
     src = str(Path(rb.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    code, *loaded = json.loads(done.stdout.splitlines()[-1])
+    code, any_scipy, *loaded = json.loads(done.stdout.splitlines()[-1])
     assert code == 0, done.stderr
-    return set(loaded)
+    return set(loaded), any_scipy
