@@ -46,7 +46,7 @@ from .risk import (ESMeanMixture, ExpectedShortfall, RiskMeasureSpec, Spectral,
 
 DIVERGENCE_THRESHOLD = 1e12
 _STEP_EXPONENT = 0.6      # SGD step gamma_k = base / (1 + k)^0.6
-_GATHER_BATCHES = 64      # SGD mini-batches gathered from the sample at once
+_GATHER_ROWS = 8192       # most SGD rows gathered from the sample at once, in whole batches
 # msbgd resamples drawn ahead, one thread each; the solve's ring of resample
 # buffers has two slots more, for the sample in use and the one before it
 _PREFETCH_DRAWS = 2
@@ -296,7 +296,7 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     k = 0
     t0 = time.perf_counter()
     bs = config.batch_size
-    chunk_rows = _GATHER_BATCHES * bs
+    chunk_rows = max(_GATHER_ROWS // bs, 1) * bs
     for epoch in range(config.epochs):
         if epoch > 0:
             order = rng.permutation(n)

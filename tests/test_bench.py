@@ -223,6 +223,33 @@ class TestAccuracyStudy:
         assert rows["osbgd"].errors == ""
         assert np.isfinite(rows["osbgd"].acc_mean)
 
+    def test_route_defaults(self):
+        configs = rb.bench._study_configs(ExperimentSpec())
+        assert set(configs) == {"model_free_sgd", "sgd", "osbgd", "msbgd", "reference"}
+        model_free = configs["model_free_sgd"]
+        assert (model_free.batch_size, model_free.epochs) == (128, 100)
+        assert (configs["sgd"].batch_size, configs["sgd"].epochs) == (1024, 4)
+        assert (configs["osbgd"].stop_tol, configs["osbgd"].max_iters) == (1e-6, 1000)
+        assert (configs["msbgd"].max_iters, configs["msbgd"].resample_size) == (60, 100_000)
+        assert configs["reference"].stop_tol == 1e-6
+        spec = ExperimentSpec(solver_overrides={"sgd": {"batch_size": 128}})
+        assert rb.bench._study_configs(spec)["sgd"].batch_size == 128
+
+    @pytest.mark.parametrize("overrides, sgd_error", [
+        ({}, "1/1 failed: InputError: sample of 1000 rows is smaller than one batch (1024)"),
+        ({"sgd": {"batch_size": 128}}, "")], ids=["default", "batch_128"])
+    def test_simulated_sample_smaller_than_study_batch(self, overrides, sgd_error):
+        spec = ExperimentSpec(
+            dims=(3,), repetitions=1, n_hist=400, sim_size=1000,
+            settings=("true_params",),
+            solver_overrides={**overrides, "osbgd": {"max_iters": 20},
+                              "msbgd": {"max_iters": 4, "resample_size": 2_000}},
+            master_seed=29)
+        rows = {r.method: r for r in run_accuracy_study(spec)}
+        assert rows["sgd"].errors == sgd_error
+        for method in ("osbgd", "msbgd"):
+            assert rows[method].errors == "" and np.isfinite(rows[method].acc_mean)
+
     def test_rerun_csv_byte_identical(self, tmp_path):
         spec = ExperimentSpec(
             dims=(3,), repetitions=2, n_hist=400, sim_size=10_000,

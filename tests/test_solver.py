@@ -129,6 +129,19 @@ class TestSgdSolve:
             sgd_solve(ExpectedShortfall(0.95), Budgets.equal(4), sample,
                       SolverConfig(method="sgd", batch_size=128))
 
+    def test_gather_holds_no_epoch_of_rows(self):
+        # a batch above the gather cap is gathered alone; gathering the whole
+        # permutation at once would copy the sample (16 MB here)
+        x = rb.sample_model(rb.synth_dgp(10, 5), 200_000, seed=67).data
+        tracemalloc.start()
+        try:
+            sgd_solve(ExpectedShortfall(0.95), Budgets.equal(10), ReturnSample(x),
+                      SolverConfig(batch_size=20_000, epochs=1, seed=68))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
+
 
 class TestOsbgdSolve:
     def test_symmetric_volatility(self):
@@ -783,7 +796,7 @@ def _oracle_sgd_solve(spec, budgets, sample, config, y0=None):
     n_avg = 0
     k = 0
     bs = config.batch_size
-    chunk_rows = solver_mod._GATHER_BATCHES * bs
+    chunk_rows = max(solver_mod._GATHER_ROWS // bs, 1) * bs
     for epoch in range(config.epochs):
         if epoch > 0:
             order = rng.permutation(n)
