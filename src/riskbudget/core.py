@@ -178,23 +178,12 @@ def l1_accuracy(theta_a, theta_b) -> float:
     return float(100.0 * np.abs(a - b).sum())
 
 
-def euler_audit(theta, risk_fn, grad_fn, budgets: Budgets) -> RiskContributionReport:
-    """Audit a solved portfolio against its risk budgets.
-
-    Parameters
-    ----------
-    theta : Weights or array
-        Portfolio weights.
-    risk_fn : callable
-        Maps a weight vector to the portfolio risk R(theta) > 0.
-    grad_fn : callable
-        Maps a weight vector to the gradient of R, consistent with risk_fn.
-    budgets : Budgets
-        Target risk shares.
-    """
+def euler_audit(theta, total: float, grad, budgets: Budgets) -> RiskContributionReport:
+    """Audit a solved portfolio against its risk budgets, given the risk
+    R(theta) > 0 and its gradient as evaluated at the weights theta."""
     t = _values_of(theta)
-    total = float(risk_fn(t))
-    grad = np.asarray(grad_fn(t), dtype=float)
+    total = float(total)
+    grad = np.asarray(grad, dtype=float)
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient in Euler audit")
     contributions = t * grad

@@ -478,13 +478,16 @@ def model_from_dict(doc: dict):
         scale = doc["scale"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"model document missing field: {exc}") from exc
+    if kind not in ("tmix", "gmix"):
+        raise InputError(f"unknown model type {kind!r}")
+    unknown = set(doc) - {"type", "p", "mu", "scale"} - ({"nu"} if kind == "tmix" else set())
+    if unknown:
+        raise InputError(f"unknown field {min(unknown)!r} in a {kind} model document")
     if kind == "tmix":
         if "nu" not in doc:
             raise InputError("tmix model requires a 'nu' field")
         return StudentTMixture(p, mu, scale, doc["nu"])
-    if kind == "gmix":
-        return GaussianMixture(p, mu, scale)
-    raise InputError(f"unknown model type {kind!r}")
+    return GaussianMixture(p, mu, scale)
 
 
 def save_model(model, path) -> None:

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -193,10 +192,8 @@ def _empirical_report(spec, budgets, theta: Weights,
     objective's scaled by value ** (1 / power - 1) / power.
     """
     value, grad = _sample_risk(spec, data, 1.0)(theta.values)
-    if spec.power != 1.0:
-        grad = grad * (value ** (1.0 / spec.power - 1.0) / spec.power)
-    return euler_audit(theta, lambda t: value ** (1.0 / spec.power),
-                       lambda t: grad, budgets)
+    p = spec.power
+    return euler_audit(theta, value ** (1.0 / p), grad * (value ** (1.0 / p - 1.0) / p), budgets)
 
 
 def _check_problem(budgets: Budgets, d: int) -> None:
@@ -432,48 +429,44 @@ def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     the threads joined before the solve returns or raises.
 
     The samples live in a ring of _PREFETCH_DRAWS + 2 buffers, allocated on
-    the calling thread before the pool starts. Draw i (0 the start, the last
-    the audit) writes into slot i modulo the ring's length; it starts when
-    the descent takes sample i - 2, by when sample i - 4, whose slot it
-    reuses, is finished. The budgets and y0 are checked before any of this.
+    the calling thread before the pool starts. Draw i (0 the start, max_iters
+    + 1 the audit) writes into slot i modulo the ring's length; it starts when
+    the descent takes sample i - _PREFETCH_DRAWS, after the sample whose slot
+    it reuses is finished. The budgets and y0 are checked before any of this.
     """
     _check_problem(budgets, model.dim)
     y0 = _initial_allocation(budgets, y0)
     iters_fixed = config.max_iters or 60
-    keys = iter(range(1, iters_fixed + 2))
-    ahead = deque()
+    last = iters_fixed + 1
     ring = [np.empty((config.resample_size, model.dim))
             for _ in range(_PREFETCH_DRAWS + 2)]
 
     def draw(i):
         # a fresh view of the slot: the sample marks its array read-only
-        key = "audit" if i > iters_fixed else i
+        key = "audit" if i == last else i
         return sample_model(model, config.resample_size,
                             derive_seed(config.seed, "msbgd", key),
                             out=ring[i % len(ring)][...]).data
 
-    def next_sample():
-        # hand out the oldest draw and start the next, keeping two ahead
-        future = ahead.popleft()
-        key = next(keys, None)
-        if key is not None:
-            ahead.append(pool.submit(draw, key))
-        return future.result()
+    def take(i):
+        # hand out draw i, keeping _PREFETCH_DRAWS draws started ahead of it
+        if i + _PREFETCH_DRAWS <= last:
+            ahead[i + _PREFETCH_DRAWS] = pool.submit(draw, i + _PREFETCH_DRAWS)
+        return ahead.pop(i).result()
 
     pool = ThreadPoolExecutor(max_workers=_PREFETCH_DRAWS)
     try:
-        for key in islice(keys, _PREFETCH_DRAWS):
-            ahead.append(pool.submit(draw, key))
+        ahead = {i: pool.submit(draw, i) for i in range(1, min(_PREFETCH_DRAWS, last) + 1)}
         x0 = draw(0)
         scale, y = _start(spec, budgets, x0, y0)
         # the descent evaluates its start on x0, then iteration k on sample k
-        samples = chain([x0], (next_sample() for _ in range(iters_fixed)))
+        samples = chain([x0], map(take, range(1, last)))
         t0 = time.perf_counter()
         _, trace, iters, ys = _bb_descent(
             lambda yy: _sample_risk(spec, next(samples), scale)(yy), budgets, y,
             config, iters_fixed, stop_on_objective=False)
         wall = time.perf_counter() - t0
-        audit_data = next_sample()
+        audit_data = take(last)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     y_avg = np.mean(ys[-config.last_k:], axis=0)
@@ -549,8 +542,7 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     raw = RawAllocation(res.x)
     weights = normalize(raw)
     theta = weights.values
-    total, grad = value_grad(theta)
-    audit = euler_audit(theta, lambda t: total, lambda t: grad, budgets)
+    audit = euler_audit(theta, *value_grad(theta), budgets)
     return SolveReport(weights, raw, ZetaState(final_zeta(theta)), audit,
                        np.array(trace, dtype=float), wall, int(res.nit),
                        config.seed, "reference")

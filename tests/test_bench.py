@@ -103,6 +103,14 @@ class TestReferenceCommand:
         assert code == 1
         assert "error: degrees of freedom" in capsys.readouterr().err
 
+    def test_cli_model_with_unknown_field(self, tmp_path, capsys):
+        doc = model_to_dict(rb.load_model(rb.bundled_model_path("gmix3_stressed")))
+        bad = tmp_path / "extra.json"
+        bad.write_text(json.dumps({**doc, "nu": [4.0], "sacle": 1}))
+        code = main(["reference", "--model", str(bad), "--out", str(tmp_path)])
+        assert code == 1
+        assert "unknown field 'nu'" in capsys.readouterr().err
+
     def test_cli_missing_file(self, tmp_path):
         code = main(["reference", "--model", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)])

@@ -103,7 +103,8 @@ class TestEulerAudit:
 
     def test_symmetric_identity(self):
         risk, grad = self._vol_fns(np.eye(2))
-        report = euler_audit(np.array([0.5, 0.5]), risk, grad, Budgets.equal(2))
+        t = np.array([0.5, 0.5])
+        report = euler_audit(t, risk(t), grad(t), Budgets.equal(2))
         assert np.abs(report.budget_errors).max() < 1e-15
 
     def test_contributions_sum_to_total(self):
@@ -115,10 +116,10 @@ class TestEulerAudit:
             sigma = a @ a.T / d
             theta = rng.dirichlet(np.ones(d) * 5.0)
             risk, grad = self._vol_fns(sigma)
-            report = euler_audit(theta, risk, grad, Budgets.equal(d))
+            report = euler_audit(theta, risk(theta), grad(theta), Budgets.equal(d))
             assert abs(report.contributions.sum() - report.total_risk) < 1e-10
 
     def test_nonfinite_gradient_rejected(self):
         with pytest.raises(NumericError):
-            euler_audit(np.array([0.5, 0.5]), lambda t: 1.0,
-                        lambda t: np.array([np.nan, 1.0]), Budgets.equal(2))
+            euler_audit(np.array([0.5, 0.5]), 1.0, np.array([np.nan, 1.0]),
+                        Budgets.equal(2))

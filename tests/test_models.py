@@ -66,6 +66,19 @@ class TestModelValidation:
         with pytest.raises(ModelError, match=names[field]):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("kind, extra, key", [
+        ("gmix", {"nu": [4.0], "sacle": 1}, "nu"), ("gmix", {"sacle": 1}, "sacle"),
+        ("tmix", {"df": [4.0, 5.0]}, "df")])
+    def test_unknown_field_rejected(self, kind, extra, key):
+        # a misspelt or foreign key is an error, not a silently ignored field
+        doc = {"type": kind, "p": [0.5, 0.5], "mu": [[0.0, 0.1], [0.2, 0.0]],
+               "scale": [np.eye(2).tolist(), (2.0 * np.eye(2)).tolist()]}
+        if kind == "tmix":
+            doc["nu"] = [4.0, 5.0]
+        model_from_dict(doc)
+        with pytest.raises(InputError, match=f"unknown field '{key}'"):
+            model_from_dict({**doc, **extra})
+
     def test_covariance_mixture(self, gmix_stressed):
         # covariance of a two-point mixture: within + between parts
         m = gmix_stressed

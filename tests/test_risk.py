@@ -665,11 +665,8 @@ class TestVolatility:
         from riskbudget import euler_audit
         sigma = gmix_calm.scales[0]
         theta = np.array([0.60916, 0.22200, 0.16884])
-        report = euler_audit(
-            theta,
-            lambda t: volatility_value_and_gradient(sigma, t)[0],
-            lambda t: volatility_value_and_gradient(sigma, t)[1],
-            Budgets.equal(3))
+        report = euler_audit(theta, *volatility_value_and_gradient(sigma, theta),
+                             Budgets.equal(3))
         assert np.abs(report.budget_errors).max() < 1e-3
 
     def test_non_spd_rejected(self):

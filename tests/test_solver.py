@@ -332,6 +332,10 @@ class _DrawFailed(Exception):
     pass
 
 
+class _RiskFailed(Exception):
+    pass
+
+
 class TestMsbgdPrefetch:
     @pytest.mark.parametrize("spec", [ExpectedShortfall(0.95), Volatility()],
                              ids=["es", "volatility"])
@@ -362,6 +366,51 @@ class TestMsbgdPrefetch:
         with pytest.raises(_DrawFailed):
             msbgd_solve(ExpectedShortfall(0.95), budgets, tmix_demo, cfg)
         assert threading.active_count() == threads
+
+    def test_descent_error_reaches_caller_and_draws_stop(self, tmix_demo, monkeypatch):
+        # evaluating sample 4 fails: the error reaches the caller, the threads
+        # end, and no draw past 4 + _PREFETCH_DRAWS starts
+        cfg = SolverConfig(method="msbgd", max_iters=12, resample_size=2000, seed=54)
+        keys = {derive_seed(cfg.seed, "msbgd", k): k for k in range(cfg.max_iters + 1)}
+        keys[derive_seed(cfg.seed, "msbgd", "audit")] = cfg.max_iters + 1
+        lock = threading.Lock()
+        started, evaluated = [], []
+        sample_risk = solver_mod._sample_risk
+
+        def recording_draw(model, n, seed, out=None):
+            with lock:
+                started.append(keys[seed])
+            return sample_model(model, n, seed, out=out)
+
+        def failing_risk(spec, x, scale):
+            evaluated.append(x)
+            if len(evaluated) == 5:
+                raise _RiskFailed("sample 4")
+            return sample_risk(spec, x, scale)
+
+        monkeypatch.setattr(solver_mod, "sample_model", recording_draw)
+        monkeypatch.setattr(solver_mod, "_sample_risk", failing_risk)
+        threads = threading.active_count()
+        with pytest.raises(_RiskFailed):
+            msbgd_solve(ExpectedShortfall(0.95), Budgets.equal(4), tmix_demo, cfg)
+        assert threading.active_count() == threads
+        assert max(started) <= 4 + solver_mod._PREFETCH_DRAWS
+
+    def test_priming_stops_at_the_audit_draw(self, tmix_demo, monkeypatch):
+        # more draw threads than draws: only the start, the one iteration's
+        # sample and the audit sample are drawn
+        monkeypatch.setattr(solver_mod, "_PREFETCH_DRAWS", 4)
+        cfg = SolverConfig(method="msbgd", max_iters=1, resample_size=2000, seed=55)
+        seeds = []
+
+        def recording_draw(model, n, seed, out=None):
+            seeds.append(seed)
+            return sample_model(model, n, seed, out=out)
+
+        monkeypatch.setattr(solver_mod, "sample_model", recording_draw)
+        msbgd_solve(ExpectedShortfall(0.95), Budgets.equal(4), tmix_demo, cfg)
+        assert len(seeds) == cfg.max_iters + 2
+        assert set(seeds) == {derive_seed(cfg.seed, "msbgd", k) for k in (0, 1, "audit")}
 
     def test_draws_stay_two_ahead(self, tmix_demo, monkeypatch):
         # a draw for iteration j may start once the descent has taken the
