@@ -180,9 +180,14 @@ def l1_accuracy(theta_a, theta_b) -> float:
 
 def euler_audit(theta, total: float, grad, budgets: Budgets) -> RiskContributionReport:
     """Audit a solved portfolio against its risk budgets, given the risk
-    R(theta) > 0 and its gradient as evaluated at the weights theta."""
+    R(theta) and its gradient as evaluated at the weights theta. Budgets are
+    shares of a positive risk, so a total that is not finite and positive
+    raises NumericError."""
     t = _values_of(theta)
     total = float(total)
+    if not (math.isfinite(total) and total > 0.0):
+        raise NumericError(f"total risk {total!r} at the solved weights is not positive; "
+                           "risk budgets are not meaningful there")
     grad = np.asarray(grad, dtype=float)
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient in Euler audit")

@@ -77,6 +77,14 @@ class _RUMeasure(_Measure):
         # the value alone: no n-length loss-weight vector
         return self._value(x, _es_tail(x, self.alpha))
 
+    def _nonnegative_losses_needed(self, n: int):
+        # with n - j of n losses >= 0, the method-7 quantile is >= 0, so the
+        # tail {L >= q} holds no negative loss, ties at q or not; a mean term
+        # can outweigh a tail that ties stretch, so no count settles its sign
+        if self.delta != 0.0:
+            return None
+        return n - int(np.floor((n - 1) * self.alpha))
+
     def _value(self, x, tail) -> float:
         val = self.beta * float(x[tail].mean())
         return val + self.delta * float(x.mean()) if self.delta != 0.0 else val
@@ -241,6 +249,10 @@ class Spectral(_Measure):
     def risk(self, x: np.ndarray) -> float:
         # the derived value from a sort; objective_and_weights needs an argsort
         return self._value(x, *_sorted_with_tails(x))
+
+    def _nonnegative_losses_needed(self, n: int):
+        # each node is an exact Rockafellar-Uryasev minimum, ties or not
+        return 0
 
     def _value(self, x, s, tail_sums) -> float:
         nodes = [_ru_node_minimum(s, tail_sums, lv) for lv in self.levels]
@@ -715,7 +727,17 @@ def empirical_objective_risk(spec: RiskMeasureSpec, losses):
     return spec.objective_and_weights(np.asarray(losses, dtype=float).ravel())
 
 
-def warn_if_nonpositive_risk(spec: RiskMeasureSpec, risks_at, d: int) -> None:
+def positivity_probes(d: int) -> np.ndarray:
+    """The d + 1 probe portfolios (rows): equal weights, then each asset
+    at 0.9 with the rest spread evenly."""
+    probes = np.full((d + 1, d), 0.1 / max(d - 1, 1))
+    probes[0] = 1.0 / d
+    probes[np.arange(1, d + 1), np.arange(d)] = 0.9
+    return probes
+
+
+def warn_if_nonpositive_risk(spec: RiskMeasureSpec, risks_at, d: int,
+                             proven=None) -> None:
     """Probe equal weights and 0.9-concentrated corners; warn if risk <= 0.
 
     The risk budgeting problem assumes every long-only portfolio has positive
@@ -723,14 +745,15 @@ def warn_if_nonpositive_risk(spec: RiskMeasureSpec, risks_at, d: int) -> None:
     risks_at maps a block of probe portfolios (rows) to their risks. The
     blocks hold two probes each, so that a sample evaluator gets two loss
     vectors from one pass over the sample and holds no more than two.
+    proven, a mask over the probes, skips those already proven positive.
     """
     if not spec._probe_positivity:
         return
-    probes = np.full((d + 1, d), 0.1 / max(d - 1, 1))
-    probes[0] = 1.0 / d
-    probes[np.arange(1, d + 1), np.arange(d)] = 0.9
+    probes = positivity_probes(d)
+    if proven is not None:
+        probes = probes[~proven]
     bad = sum(np.count_nonzero(np.asarray(risks_at(probes[i:i + 2])) <= 0.0)
-              for i in range(0, d + 1, 2))
+              for i in range(0, len(probes), 2))
     if bad:
         warnings.warn(
             f"{measure_label(spec)} is non-positive on {bad} probe "

@@ -16,7 +16,9 @@ is of order one and map the solved allocation back; the normalized weights
 are invariant to this. No route copies the sample to standardize it: the
 descents divide the allocation and the gradient by the scale, and SGD divides
 only the rows it gathers (by take, three times faster than fancy indexing).
-The common start probes positivity on d + 1 portfolios, two per GEMM pass.
+The common start evaluates normalize(b) once, for the standardization
+constant and for the loss weights whose envelope bound proves the positivity
+probes; only probes left unproven are evaluated, two per GEMM pass.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -41,11 +43,13 @@ from .risk import (ESMeanMixture, ExpectedShortfall, RiskMeasureSpec, Spectral,
                    empirical_objective_risk, empirical_risk, es_tmix,
                    measure_label, ru_objective, ru_subgradient,
                    spectral_objective, spectral_subgradient, var_tmix,
-                   volatility_value_and_gradient, warn_if_nonpositive_risk)
+                   positivity_probes, volatility_value_and_gradient,
+                   warn_if_nonpositive_risk)
 
 DIVERGENCE_THRESHOLD = 1e12
 _STEP_EXPONENT = 0.6      # SGD step gamma_k = base / (1 + k)^0.6
 _GATHER_ROWS = 8192       # most SGD rows gathered from the sample at once, in whole batches
+_COUNT_ROWS = 8192        # rows per block of the positivity certificate's loss count
 # msbgd resamples drawn ahead, one thread each; the solve's ring of resample
 # buffers has two slots more, for the sample in use and the one before it
 _PREFETCH_DRAWS = 2
@@ -65,7 +69,7 @@ class SolverConfig:
     epochs: int = 10
     step_base: float = 0.0
     averaging_fraction: float = 0.2
-    last_k: int = 5
+    last_k: int = 15
     stop_tol: float = 1e-6
     max_iters: int | None = None
     resample_size: int = 100_000
@@ -212,14 +216,53 @@ def _initial_allocation(budgets: Budgets, y0) -> np.ndarray:
     return y0
 
 
+def _proven_positive(spec: RiskMeasureSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Mask of the positivity probes whose risk on the returns x is proven
+    positive without evaluating it, from the loss weights w of one portfolio.
+
+    A measure that is the maximum of w' . L over a risk envelope holding w
+    has R(-x theta) >= theta . G with G = -(w @ x) (Acerbi 2002). Spectral
+    measures are, as evaluated, ties or not. The ES family's tail {L >= q}
+    grows with ties at q, so there the bound proves only that some loss is
+    positive (w >= 0); spec._nonnegative_losses_needed of them proven >= 0
+    make q >= 0, and a tail of non-negative losses with one positive has a
+    positive mean. The count stops once every probe with a positive bound
+    has enough. With X = max |x|, the bound's margin 4 (n + d) eps X n max|w|
+    exceeds the rounding of w @ x, of the losses and of the evaluator's sums,
+    and a loss counts as non-negative from 2 d eps X, more than two summation
+    orders of its d products can differ by.
+    """
+    n, d = x.shape
+    probes = positivity_probes(d)
+    need = spec._nonnegative_losses_needed(n)
+    if need is None:
+        return np.zeros(d + 1, dtype=bool)
+    eps = np.finfo(float).eps
+    big = max(x.max(), -x.min())
+    proven = probes @ -(w @ x) > 4.0 * (n + d) * eps * big * n * np.abs(w).max()
+    counted = np.zeros(d + 1, dtype=np.int64)
+    for start in range(0, n, _COUNT_ROWS):
+        if np.all(counted[proven] >= need):
+            break
+        losses = x[start:start + _COUNT_ROWS] @ -probes.T
+        counted += np.count_nonzero(losses >= 2.0 * d * eps * big, axis=0)
+    return proven & (counted >= need)
+
+
 def _start(spec: RiskMeasureSpec, budgets: Budgets, x: np.ndarray, y0):
     """Common start of the sample routes on the returns x: problem checks,
-    positivity probe, standardization constant and starting allocation."""
+    positivity probe, standardization constant and starting allocation.
+
+    One evaluation at normalize(b) gives the constant and the loss weights
+    that prove most probes positive without evaluating them."""
     d = x.shape[1]
     _check_problem(budgets, d)
-    # each group of probe portfolios (rows) takes one GEMM pass over x
-    warn_if_nonpositive_risk(spec, lambda p: [empirical_risk(spec, r) for r in -p @ x.T], d)
-    scale = abs(empirical_risk(spec, -(x @ normalize(budgets.values).values)))
+    value, w = empirical_objective_risk(spec, -(x @ normalize(budgets.values).values))
+    if spec._probe_positivity:
+        # each group of unproven probe portfolios (rows) takes one GEMM pass over x
+        warn_if_nonpositive_risk(spec, lambda p: [empirical_risk(spec, r) for r in -p @ x.T],
+                                 d, proven=_proven_positive(spec, x, w))
+    scale = abs(value ** (1.0 / spec.power))
     if not np.isfinite(scale) or scale < 1e-300:
         scale = 1.0
     return scale, _initial_allocation(budgets, y0)
@@ -340,18 +383,23 @@ def sgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
 # ---------------------------------------------------------------------------
 # Barzilai-Borwein descents
 
-def _bb_descent(risk, budgets: Budgets, y: np.ndarray, config: SolverConfig,
+def _bb_descent(risks, budgets: Budgets, y: np.ndarray, config: SolverConfig,
                 max_iters: int, stop_on_objective: bool):
-    """Shared BB loop from y; risk(y) gives the risk term and its gradient and
-    is called once per iterate, in order. Returns the last iterate (the best
-    one seen if max_iters ends the run before the stop rule), the objective
+    """Shared BB loop from y. The iterator risks gives the risk function of
+    each iterate in turn, the start's first; risk(y) gives the risk term and
+    its gradient. Where the function changes between iterates, the previous
+    iterate is evaluated on the new function too, so that the BB pair (dy, dg)
+    measures curvature on one sample, not the noise between two (Byrd,
+    Hansen, Nocedal and Singer 2016). Returns the last iterate (the best one
+    seen if max_iters ends the run before the stop rule), the objective
     trace, the iteration count and the iterates after the start."""
 
-    def grad(yy):
+    def grad(risk, yy):
         f_risk, g_risk = risk(yy)
         return g_risk - budgets.values / yy, f_risk
 
-    g, f_risk = grad(y)
+    risk = next(risks)
+    g, f_risk = grad(risk, y)
     f = f_risk - float(budgets.values @ np.log(y))
     if not np.isfinite(f):
         raise NumericError("non-finite objective at the starting point")
@@ -371,11 +419,15 @@ def _bb_descent(risk, budgets: Budgets, y: np.ndarray, config: SolverConfig,
             halvings += 1
             if halvings > 200:
                 raise NumericError("could not keep the allocation positive")
-        g_new, f_risk = grad(y_new)
+        risk_new = next(risks)
+        g_new, f_risk = grad(risk_new, y_new)
         f_new = f_risk - float(budgets.values @ np.log(y_new))
         if not np.isfinite(f_new) or abs(f_new) > DIVERGENCE_THRESHOLD:
             raise DivergenceError(f"objective {f_new!r} diverged at iteration {k}",
                                   iteration=k)
+        if risk_new is not risk:
+            risk = risk_new
+            g = grad(risk, y)[0]
         dy = y_new - y
         dg = g_new - g
         denom = float(dy @ dg)
@@ -409,8 +461,8 @@ def osbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, sample: ReturnSample,
     x = sample.data
     scale, y = _start(spec, budgets, x, y0)
     t0 = time.perf_counter()
-    y, trace, iters, _ = _bb_descent(_sample_risk(spec, x, scale), budgets, y, config,
-                                     config.max_iters or 1000, stop_on_objective=True)
+    y, trace, iters, _ = _bb_descent(repeat(_sample_risk(spec, x, scale)), budgets, y,
+                                     config, config.max_iters or 1000, stop_on_objective=True)
     wall = time.perf_counter() - t0
     return _finish("osbgd", spec, budgets, config, scale, x, y, None, trace, wall, iters)
 
@@ -419,7 +471,9 @@ def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
                 config: SolverConfig, y0=None) -> SolveReport:
     """Multi-sample benchmark descent: the gradient at each BB iteration is
     recomputed on a fresh seeded sample of resample_size; runs for a fixed
-    number of iterations and averages the trailing last_k iterates.
+    number of iterations (40 when max_iters is null) and averages the
+    trailing last_k iterates. Each resample evaluates the new iterate and the
+    one before it, so that the BB step's curvature pair comes from one sample.
 
     Each sample's seed depends only on config.seed and the iteration, not on
     the iterate, so resamples 1..max_iters and the audit sample are drawn
@@ -436,7 +490,7 @@ def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
     """
     _check_problem(budgets, model.dim)
     y0 = _initial_allocation(budgets, y0)
-    iters_fixed = config.max_iters or 60
+    iters_fixed = config.max_iters or 40
     last = iters_fixed + 1
     ring = [np.empty((config.resample_size, model.dim))
             for _ in range(_PREFETCH_DRAWS + 2)]
@@ -459,12 +513,12 @@ def msbgd_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
         ahead = {i: pool.submit(draw, i) for i in range(1, min(_PREFETCH_DRAWS, last) + 1)}
         x0 = draw(0)
         scale, y = _start(spec, budgets, x0, y0)
-        # the descent evaluates its start on x0, then iteration k on sample k
-        samples = chain([x0], map(take, range(1, last)))
+        # one risk function per sample: the start's on x0, iteration k's on sample k
+        risks = (_sample_risk(spec, xk, scale)
+                 for xk in chain([x0], map(take, range(1, last))))
         t0 = time.perf_counter()
-        _, trace, iters, ys = _bb_descent(
-            lambda yy: _sample_risk(spec, next(samples), scale)(yy), budgets, y,
-            config, iters_fixed, stop_on_objective=False)
+        _, trace, iters, ys = _bb_descent(risks, budgets, y, config, iters_fixed,
+                                          stop_on_objective=False)
         wall = time.perf_counter() - t0
         audit_data = take(last)
     finally:

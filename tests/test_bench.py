@@ -238,7 +238,8 @@ class TestAccuracyStudy:
         assert (model_free.batch_size, model_free.epochs) == (128, 100)
         assert (configs["sgd"].batch_size, configs["sgd"].epochs) == (1024, 4)
         assert (configs["osbgd"].stop_tol, configs["osbgd"].max_iters) == (1e-6, 1000)
-        assert (configs["msbgd"].max_iters, configs["msbgd"].resample_size) == (60, 100_000)
+        msbgd = configs["msbgd"]
+        assert (msbgd.max_iters, msbgd.last_k, msbgd.resample_size) == (40, 15, 100_000)
         assert configs["reference"].stop_tol == 1e-6
         spec = ExperimentSpec(solver_overrides={"sgd": {"batch_size": 128}})
         assert rb.bench._study_configs(spec)["sgd"].batch_size == 128

@@ -119,6 +119,11 @@ class TestEulerAudit:
             report = euler_audit(theta, risk(theta), grad(theta), Budgets.equal(d))
             assert abs(report.contributions.sum() - report.total_risk) < 1e-10
 
+    @pytest.mark.parametrize("total", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_total_risk_not_positive_rejected(self, total):
+        with pytest.raises(NumericError, match="not positive"):
+            euler_audit(np.array([0.5, 0.5]), total, np.array([1.0, 1.0]), Budgets.equal(2))
+
     def test_nonfinite_gradient_rejected(self):
         with pytest.raises(NumericError):
             euler_audit(np.array([0.5, 0.5]), 1.0, np.array([np.nan, 1.0]),
