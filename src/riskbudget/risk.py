@@ -10,6 +10,7 @@ power form for deviation measures.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -37,8 +38,7 @@ class RiskPositivityWarning(UserWarning):
 # thresholds on a loss vector, and its one full-sample evaluator: the
 # objective risk g(rho) (plus any linear mean term) together with the
 # gradient of that value with respect to the loss vector. The risk itself is
-# derived from that value as value ** (1 / power); only Spectral overrides it,
-# since its value needs a sort where its weights need an argsort.
+# derived from that value as value ** (1 / power), for every measure.
 # ES is the Rockafellar-Uryasev form beta * ES_alpha + delta * E with
 # beta = 1, delta = 0; plain deviation and volatility are the hinge-power form
 # with delta = 0, volatility with a = b = 1, p = 2.
@@ -73,10 +73,6 @@ class _RUMeasure(_Measure):
     def init_zeta(self, losses) -> np.ndarray:
         return np.array([empirical_var_method7(losses, self.alpha)])
 
-    def risk(self, x: np.ndarray) -> float:
-        # the value alone: no n-length loss-weight vector
-        return self._value(x, _es_tail(x, self.alpha))
-
     def _nonnegative_losses_needed(self, n: int):
         # with n - j of n losses >= 0, the method-7 quantile is >= 0, so the
         # tail {L >= q} holds no negative loss, ties at q or not; a mean term
@@ -85,18 +81,16 @@ class _RUMeasure(_Measure):
             return None
         return n - int(np.floor((n - 1) * self.alpha))
 
-    def _value(self, x, tail) -> float:
-        val = self.beta * float(x[tail].mean())
-        return val + self.delta * float(x.mean()) if self.delta != 0.0 else val
-
     def objective_and_weights(self, x: np.ndarray):
         """The risk and its loss gradient: beta times the tail mask over its
         count, plus delta / n."""
         tail = _es_tail(x, self.alpha)
+        val = self.beta * float(x[tail].mean())
         w = tail * (self.beta / np.count_nonzero(tail))
         if self.delta != 0.0:
+            val += self.delta * float(x.mean())
             w += self.delta / x.size
-        return self._value(x, tail), w
+        return val, w
 
 
 class _HingeMeasure(_Measure):
@@ -246,18 +240,9 @@ class Spectral(_Measure):
     def init_zeta(self, losses) -> np.ndarray:
         return np.array([empirical_var_method7(losses, s) for s in self.levels])
 
-    def risk(self, x: np.ndarray) -> float:
-        # the derived value from a sort; objective_and_weights needs an argsort
-        return self._value(x, *_sorted_with_tails(x))
-
     def _nonnegative_losses_needed(self, n: int):
         # each node is an exact Rockafellar-Uryasev minimum, ties or not
         return 0
-
-    def _value(self, x, s, tail_sums) -> float:
-        nodes = [_ru_node_minimum(s, tail_sums, lv) for lv in self.levels]
-        val = float(np.dot(self.coeff, nodes))
-        return val - float(x.mean()) if self.subtract_mean else val
 
     def objective_and_weights(self, x: np.ndarray):
         """The discretized risk and its loss gradient: per node, c_k / (n (1 - s_k))
@@ -276,9 +261,13 @@ class Spectral(_Measure):
         w_sorted += np.cumsum(rates[:n])
         w = np.empty(n)
         w[order] = w_sorted
+        tail_sums = _tail_sums(s)
+        val = float(np.dot(self.coeff, [_ru_node_minimum(s, tail_sums, lv)
+                                        for lv in self.levels]))
         if self.subtract_mean:
+            val -= float(x.mean())
             w -= 1.0 / n
-        return self._value(x, s, _tail_sums(s)), w
+        return val, w
 
 
 @dataclass(frozen=True)
@@ -674,11 +663,6 @@ def _tail_sums(s: np.ndarray) -> np.ndarray:
     return cums[-1] - cums  # tail_sums[k] = sum of s[k:]
 
 
-def _sorted_with_tails(losses: np.ndarray):
-    s = np.sort(losses)
-    return s, _tail_sums(s)
-
-
 def dev_inner_zeta(spec, losses) -> float:
     """Exact minimizer over z of the deviation hinge mean E[psi(L - z)^p].
 
@@ -736,28 +720,22 @@ def positivity_probes(d: int) -> np.ndarray:
     return probes
 
 
-def warn_if_nonpositive_risk(spec: RiskMeasureSpec, risks_at, d: int,
-                             proven=None) -> None:
-    """Probe equal weights and 0.9-concentrated corners; warn if risk <= 0.
+def warn_if_nonpositive_risk(spec: RiskMeasureSpec, risks) -> None:
+    """Warn if any of the probe portfolios' risks is non-positive.
 
     The risk budgeting problem assumes every long-only portfolio has positive
-    risk; ES-family measures can violate this when alpha is too low.
-    risks_at maps a block of probe portfolios (rows) to their risks. The
-    blocks hold two probes each, so that a sample evaluator gets two loss
-    vectors from one pass over the sample and holds no more than two.
-    proven, a mask over the probes, skips those already proven positive.
+    risk; ES-family measures can violate this when alpha is too low. risks
+    holds the risks of the probes not proven positive. The warning points at
+    the first caller outside this package.
     """
-    if not spec._probe_positivity:
-        return
-    probes = positivity_probes(d)
-    if proven is not None:
-        probes = probes[~proven]
-    bad = sum(np.count_nonzero(np.asarray(risks_at(probes[i:i + 2])) <= 0.0)
-              for i in range(0, len(probes), 2))
+    bad = sum(r <= 0.0 for r in risks)
     if bad:
+        frame, level = sys._getframe(1), 2
+        while frame.f_back and frame.f_globals.get("__name__", "").split(".")[0] == __package__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"{measure_label(spec)} is non-positive on {bad} probe "
             "portfolio(s); risk budgets are not meaningful there",
             RiskPositivityWarning,
-            stacklevel=3,
+            stacklevel=level,
         )

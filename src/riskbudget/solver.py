@@ -18,7 +18,9 @@ descents divide the allocation and the gradient by the scale, and SGD divides
 only the rows it gathers (by take, three times faster than fancy indexing).
 The common start evaluates normalize(b) once, for the standardization
 constant and for the loss weights whose envelope bound proves the positivity
-probes; only probes left unproven are evaluated, two per GEMM pass.
+probes. It evaluates the probes left unproven itself, two per GEMM pass,
+and hands their risks to the warning, as reference_solve does with its exact
+probes.
 """
 
 from __future__ import annotations
@@ -254,14 +256,18 @@ def _start(spec: RiskMeasureSpec, budgets: Budgets, x: np.ndarray, y0):
     positivity probe, standardization constant and starting allocation.
 
     One evaluation at normalize(b) gives the constant and the loss weights
-    that prove most probes positive without evaluating them."""
+    that prove most probes positive without evaluating them. The probes left
+    unproven are evaluated two at a time: one GEMM pass over x gives both
+    loss vectors, and no more than two are held."""
     d = x.shape[1]
     _check_problem(budgets, d)
     value, w = empirical_objective_risk(spec, -(x @ normalize(budgets.values).values))
     if spec._probe_positivity:
-        # each group of unproven probe portfolios (rows) takes one GEMM pass over x
-        warn_if_nonpositive_risk(spec, lambda p: [empirical_risk(spec, r) for r in -p @ x.T],
-                                 d, proven=_proven_positive(spec, x, w))
+        probes = positivity_probes(d)[~_proven_positive(spec, x, w)]
+        del w  # n long: released before the probes' loss vectors are made
+        warn_if_nonpositive_risk(spec, (r for i in range(0, len(probes), 2) for r in
+                                        [empirical_risk(spec, losses)
+                                         for losses in -probes[i:i + 2] @ x.T]))
     scale = abs(value ** (1.0 / spec.power))
     if not np.isfinite(scale) or scale < 1e-300:
         scale = 1.0
@@ -558,7 +564,8 @@ def reference_solve(spec: RiskMeasureSpec, budgets: Budgets, model,
         def final_zeta(theta):
             return var_tmix(model, theta, spec.alpha)
 
-        warn_if_nonpositive_risk(spec, lambda p: [es_tmix(model, y, spec.alpha) for y in p], d)
+        warn_if_nonpositive_risk(spec, (es_tmix(model, y, spec.alpha)
+                                        for y in positivity_probes(d)))
     elif isinstance(spec, Volatility):
         value_grad = partial(volatility_value_and_gradient, model.covariance())
 

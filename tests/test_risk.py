@@ -692,11 +692,11 @@ class TestMeasureProperties:
                 assert abs(scaled - lam * base) <= 1e-10 * max(1.0, abs(lam * base))
 
     def test_subadditivity_spot_check(self):
-        from riskbudget.risk import _ru_node_minimum, _sorted_with_tails
+        from riskbudget.risk import _ru_node_minimum, _tail_sums
 
         def ru_es(x, alpha=0.9):
-            s, tails = _sorted_with_tails(x)
-            return _ru_node_minimum(s, tails, alpha)
+            s = np.sort(x)
+            return _ru_node_minimum(s, _tail_sums(s), alpha)
 
         rng = np.random.default_rng(31)
         specs = [Spectral(c=0.1, nodes=8), Deviation(1.0, 1.0, 2.0),
@@ -724,8 +724,7 @@ class TestMeasureProperties:
         from riskbudget import RiskPositivityWarning
         from riskbudget.risk import warn_if_nonpositive_risk
         with pytest.warns(RiskPositivityWarning):
-            warn_if_nonpositive_risk(ExpectedShortfall(0.9),
-                                     lambda w: -1.0, 3)
+            warn_if_nonpositive_risk(ExpectedShortfall(0.9), [-1.0] * 4)
 
 
 # loss_cdf_tmix, loss_pdf_tmix, var_tmix and _es_tmix_value_grad as they stood

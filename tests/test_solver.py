@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -660,21 +662,10 @@ class TestDerivedRisk:
             else:
                 assert got == want
 
-    @pytest.mark.parametrize("nodes", [1, 8, 20])
-    @pytest.mark.parametrize("subtract_mean", [False, True])
-    def test_spectral_sort_only_risk_matches_derived(self, nodes, subtract_mean):
-        spec = rb.Spectral(0.1, nodes, subtract_mean=subtract_mean)
-        for losses in self._loss_samples(nodes):
-            assert spec.risk(losses) == spec.objective_and_weights(losses)[0] ** (1.0 / spec.power)
-
-
-    @pytest.mark.parametrize("spec", [ExpectedShortfall(0.9), ExpectedShortfall(0.5),
-                                      rb.ESMeanMixture(1.0, -1.0, 0.9),
-                                      rb.ESMeanMixture(2.0, 0.5, 0.95)],
-                             ids=rb.measure_label)
-    def test_ru_value_only_risk_matches_evaluator(self, spec):
-        for losses in self._loss_samples(33):
-            assert spec.risk(losses) == spec.objective_and_weights(losses)[0]
+    def test_no_measure_overrides_risk(self):
+        # one risk path: every measure derives its risk from its evaluator
+        assert [cls for cls in rb.risk._KINDS.values()
+                if cls.risk is not rb.risk._Measure.risk] == []
 
 
 def _per_probe_risks(spec, x):
@@ -695,21 +686,22 @@ class TestPositivityProbes:
     def test_grouped_probes_match_per_probe(self, spec, d, monkeypatch):
         # with nothing proven, every probe is evaluated, two per block
         x = rb.sample_model(rb.synth_dgp(d, 7), 20_000, seed=58).data
-        blocks = []
-        warn = solver_mod.warn_if_nonpositive_risk
+        calls = []
+        risk = solver_mod.empirical_risk
 
-        def recording(spec, risks_at, d, proven):
-            def recorded(block):
-                blocks.append((len(block), list(risks_at(block))))
-                return blocks[-1][1]
-            warn(spec, recorded, d, proven)
+        def recorded(spec, losses):
+            calls.append((losses, risk(spec, losses)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(solver_mod, "warn_if_nonpositive_risk", recording)
+        monkeypatch.setattr(solver_mod, "empirical_risk", recorded)
         monkeypatch.setattr(solver_mod, "_proven_positive",
                             lambda spec, x, w: np.zeros(x.shape[1] + 1, dtype=bool))
         solver_mod._start(spec, Budgets.equal(d), x, None)
-        assert all(size <= 2 for size, _ in blocks)
-        got = [r for _, risks in blocks for r in risks]
+        # each loss vector is a view of its GEMM pass's block, which holds at most two
+        blocks = [losses.base for losses, _ in calls]
+        assert all(block.size <= 2 * len(x) and sum(b is block for b in blocks) <= 2
+                   for block in blocks)
+        got = [r for _, r in calls]
         want = _per_probe_risks(spec, x)
         assert len(got) == len(want) == d + 1
         for g, w in zip(got, want):
@@ -730,15 +722,17 @@ class TestPositivityProbes:
             "risk budgets are not meaningful there"]
 
     def test_probes_hold_no_loss_block(self):
-        # two probes' losses at a time, never an n x (d + 1) block
+        # two probes' losses at a time, never an n x (d + 1) block; ES(0.95) is
+        # certified on this sample, ES minus the mean evaluates all 11 probes
         x = rb.sample_model(rb.synth_dgp(10, 5), 200_000, seed=60).data
-        tracemalloc.start()
-        try:
-            solver_mod._start(ExpectedShortfall(0.95), Budgets.equal(10), x, None)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.5 * x.nbytes
+        for spec in (ExpectedShortfall(0.95), rb.ESMeanMixture(1.0, -1.0, 0.9)):
+            tracemalloc.start()
+            try:
+                solver_mod._start(spec, Budgets.equal(10), x, None)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.5 * x.nbytes
 
 
 def _warnings_of_start(spec, x):
@@ -827,6 +821,52 @@ class TestPositivityCertificate:
         assert bound[2] > 0.0 >= risks[2]
         assert not solver_mod._proven_positive(spec, x, w)[2]
         assert _warnings_of_start(spec, x) == _per_probe_warnings(spec, x) != []
+
+
+def _nonpositive_tmix():
+    # exact ES(0.75) is non-positive at two of the five probes: equal weights,
+    # and the third asset at 0.9
+    return StudentTMixture(np.array([1.0]), np.array([[-0.006, 0.01, 0.021, 0.0135]]),
+                           np.array([np.diag(np.array([0.01, 0.0115, 0.0095, 0.016]) ** 2)]),
+                           np.array([7.0]))
+
+
+class TestPositivityWarning:
+    @pytest.mark.parametrize("through_solve", [False, True], ids=["direct", "solve"])
+    @pytest.mark.parametrize("method", ["sgd", "osbgd", "msbgd", "reference"])
+    def test_points_at_the_caller(self, method, through_solve):
+        data = (_nonpositive_tmix() if method in ("msbgd", "reference")
+                else ReturnSample(_shifted_normal(59)))
+        cfg = SolverConfig(method=method, epochs=1, max_iters=4, resample_size=3000)
+        route = rb.solve if through_solve else getattr(rb, f"{method}_solve")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # a solve on such data may fail afterwards; only its warning is checked
+            with contextlib.suppress(rb.NumericError):
+                route(ExpectedShortfall(0.75), Budgets.equal(4), data, cfg)
+        warned = [w for w in caught if issubclass(w.category, rb.RiskPositivityWarning)]
+        assert len(warned) == 1
+        assert warned[0].filename == __file__
+
+    def test_reference_warns_as_exact_probes(self):
+        model, spec = _nonpositive_tmix(), ExpectedShortfall(0.75)
+        bad = sum(es_tmix(model, y, spec.alpha) <= 0.0
+                  for y in rb.risk.positivity_probes(model.dim))
+        assert 0 < bad < model.dim + 1
+        # the objective is unbounded below along a non-positive probe, so the
+        # solve either stops where the audit's total risk is positive or raises:
+        # the audit's total risk is not positive, or L-BFGS-B did not converge
+        # (which one depends on the line search's rounding; here the latter)
+        with pytest.warns(rb.RiskPositivityWarning) as record:
+            try:
+                report = reference_solve(spec, Budgets.equal(model.dim), model)
+            except rb.NumericError as err:
+                assert re.search("is not positive|did not converge", str(err))
+            else:
+                assert report.contributions.total_risk > 0.0
+        assert [str(w.message) for w in record] == [
+            f"{rb.measure_label(spec)} is non-positive on {bad} probe portfolio(s); "
+            "risk budgets are not meaningful there"]
 
 
 class _CountedRisks:
